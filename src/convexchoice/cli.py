@@ -34,7 +34,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_laws(args: argparse.Namespace) -> int:
-    config = GenConfig(trials=args.trials, seed=args.seed)
+    try:
+        config = GenConfig(trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.law is not None:
         if args.law not in law_names():
             print(f"error: unknown law {args.law!r}", file=sys.stderr)

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Generic, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Sequence, Tuple, TypeVar
 
 from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_sort_key, outcome_tag
 from .prob import Prob
@@ -81,22 +81,29 @@ def vectorize(d: Dist, basis: Sequence[Outcome]) -> PointVec:
     return PointVec(tuple(basis), tuple(d.weight(b) for b in basis))
 
 
-def _int_rows(columns: List[List[Fraction]], rhs: List[Fraction]) -> List[List[int]]:
-    """Scale each equation to integers; row scaling preserves the solution set."""
-    m = len(rhs)
-    n = len(columns)
-    rows = []
-    for i in range(m):
-        vals = [columns[j][i] for j in range(n)]
-        vals.append(rhs[i])
-        scale = 1
-        for v in vals:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        rows.append([v.numerator * (scale // v.denominator) for v in vals])
-    return rows
+def _coordinate_index(dists: Sequence[Dist]) -> Dict[Tuple[int, Outcome], int]:
+    """Row index of every supported outcome, keyed by tag so `True` and `1` differ."""
+    index: Dict[Tuple[int, Outcome], int] = {}
+    for d in dists:
+        for k, _ in d.entries:
+            index.setdefault((outcome_tag(k), k), len(index))
+    return index
 
 
-def _simplex_feasible(columns: List[List[Fraction]], rhs: List[Fraction]) -> bool:
+def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> List[int]:
+    """The weights of `d` as numerators over one common denominator.
+
+    A positive scale per column (or per right-hand side) only rescales the
+    simplex variables, so hull membership is unchanged.
+    """
+    scale = math.lcm(*(w.denominator for _, w in d.entries))
+    row = [0] * len(index)
+    for k, w in d.entries:
+        row[index[(outcome_tag(k), k)]] = w.numerator * (scale // w.denominator)
+    return row
+
+
+def _simplex_feasible(columns: List[List[int]], rhs: List[int]) -> bool:
     """Phase-1 simplex: is there x >= 0 with sum_j x_j * columns[j] = rhs?
 
     Assumes rhs >= 0 componentwise (true here: coordinates are
@@ -110,13 +117,12 @@ def _simplex_feasible(columns: List[List[Fraction]], rhs: List[Fraction]) -> boo
     """
     m = len(rhs)
     n = len(columns)
-    scaled = _int_rows(columns, rhs)
     # tableau rows: [col_0 .. col_{n-1} | artificial identity | rhs]
     tab = []
     for i in range(m):
-        row = scaled[i][:n]
+        row = [col[i] for col in columns]
         row.extend(1 if k == i else 0 for k in range(m))
-        row.append(scaled[i][n])
+        row.append(rhs[i])
         tab.append(row)
     # objective: minimize the artificial sum; reduced-cost row starts as the
     # column sums over the constraint rows (artificials reduce to zero).
@@ -176,11 +182,11 @@ def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
         raise ValueError("empty generator list")
     if any(g == x for g in generators):
         return True
-    basis = make_basis([x, *generators])
-    xv = vectorize(x, basis).coords
-    cols = [list(vectorize(g, basis).coords) + [Fraction(1)] for g in generators]
-    rhs = list(xv) + [Fraction(1)]
-    return _simplex_feasible(cols, rhs)
+    # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
+    # coordinate rows and needs no row of its own.
+    index = _coordinate_index([x, *generators])
+    columns = [_int_coords(g, index) for g in generators]
+    return _simplex_feasible(columns, _int_coords(x, index))
 
 
 def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]):
@@ -249,19 +255,45 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     Deduplicates, then removes every generator lying in the hull of the
     others.  Extreme points are never removable, so one pass over the
     deduplicated list suffices and the result is removal-order independent.
+
+    The pass is output-sensitive: a point that is the only one to reach the
+    maximum (or the minimum) of some coordinate among the distinct
+    generators is extreme without an LP, because a convex combination of the
+    others never leaves the range their values span.  That covers every
+    point owning a support key no other generator has, and every pair of
+    distinct points.  The remaining points each get one exact LP over the
+    generators still alive; all of them are put in integer coordinates once.
     """
     if not generators:
         raise ValueError("empty generator list")
-    unique: List[Dist] = []
-    for g in generators:
-        if not any(g == u for u in unique):
-            unique.append(g)
-    unique.sort()
-    if len(unique) == 1:
+    unique = sorted(set(generators))
+    n = len(unique)
+    if n <= 2:
         return unique
-    alive = [True] * len(unique)
-    for i, g in enumerate(unique):
-        others = [unique[j] for j in range(len(unique)) if j != i and alive[j]]
-        if others and in_hull(g, others):
-            alive[i] = False
+    index = _coordinate_index(unique)
+    holders: List[List[Tuple[Fraction, int]]] = [[] for _ in index]  # (weight, generator)
+    for j, g in enumerate(unique):
+        for k, w in g.entries:
+            holders[index[(outcome_tag(k), k)]].append((w, j))
+    extreme = set()
+    for col in holders:
+        weights = [w for w, _ in col]
+        top = max(weights)
+        if weights.count(top) == 1:
+            extreme.add(col[weights.index(top)][1])
+        if len(col) == n - 1:
+            # the one generator without this key has the unique minimum, 0
+            extreme.add(n * (n - 1) // 2 - sum(j for _, j in col))
+        elif len(col) == n:
+            low = min(weights)
+            if weights.count(low) == 1:
+                extreme.add(col[weights.index(low)][1])
+    if len(extreme) == n:
+        return unique
+    coords = [_int_coords(g, index) for g in unique]
+    alive = [True] * n
+    for i in range(n):
+        if i not in extreme:
+            others = [coords[j] for j in range(n) if j != i and alive[j]]
+            alive[i] = not _simplex_feasible(others, coords[i])
     return [g for g, keep in zip(unique, alive) if keep]

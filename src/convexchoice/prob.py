@@ -52,10 +52,6 @@ def prob_make(num: int, den: int) -> Prob:
     return Prob(Fraction(num, den))
 
 
-def prob_from_fraction(value: Fraction) -> Prob:
-    return Prob(value)
-
-
 def complement(p: Prob) -> Prob:
     return p.complement
 

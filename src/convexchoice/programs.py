@@ -27,18 +27,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dist import (
     Dist,
     Outcome,
+    from_pairs,
     outcome_tag,
     outcomes_equal,
+    point,
     render_dist,
     render_outcome,
 )
 from .gcm import GcmVal, alt_gcm, bind_gcm, choice_gcm, ret_gcm
-from .necset import NECSet
+from .necset import NECSet, from_generators, singleton_necset
 from .prob import Prob, ProbError, prob_make, render_rational
 
 Pos = Tuple[int, int]
@@ -512,19 +515,15 @@ def uniform(default: Outcome, values: Sequence[Outcome]) -> GcmVal:
     """Uniformly random element of `values` (`default` if empty)."""
     if not values:
         return ret_gcm(default)
-    if len(values) == 1:
-        return ret_gcm(values[0])
-    head, rest = values[0], values[1:]
-    return choice_gcm(prob_make(1, len(values)), ret_gcm(head), uniform(default, rest))
+    weight = Fraction(1, len(values))
+    return singleton_necset(from_pairs((v, weight) for v in values))
 
 
 def arbitrary(default: Outcome, values: Sequence[Outcome]) -> GcmVal:
     """Nondeterministically chosen element of `values` (`default` if empty)."""
     if not values:
         return ret_gcm(default)
-    if len(values) == 1:
-        return ret_gcm(values[0])
-    return alt_gcm(ret_gcm(values[0]), arbitrary(default, values[1:]))
+    return from_generators([point(v) for v in values])
 
 
 def bcoin(p: Prob) -> GcmVal:
@@ -549,8 +548,6 @@ def coinarb_source(p: Prob) -> str:
         "do a <- ret true [~] ret false; ret (a == c)"
     )
 
-
-ARB_SOURCE = "ret true [~] ret false"
 
 DOORS: Tuple[str, ...] = ("A", "B", "C")
 

@@ -56,6 +56,25 @@ def test_check_laws_unknown_law(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+def test_check_laws_bad_config(capsys):
+    for argv in (["--trials", "0"], ["--seed", "-1"]):
+        code = cli_main(["check-laws", *argv])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_eval_wide_uniform(capsys, monkeypatch):
+    n = 1500
+    values = ", ".join(str(i) for i in range(n))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"uniform 0 [{values}]"))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == "{" + ", ".join(f"{i}: 1/{n}" for i in range(n)) + "}\n"
+
+
 def test_check_laws_failure_exit_code(capsys):
     # seed 0, one trial: the negative control finds nothing, so its verdict fails
     code = cli_main(

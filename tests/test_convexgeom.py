@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dist_kleislis, dists, functions, probs
+from convexchoice import convexgeom
 from convexchoice.convexgeom import (
     DIST_INSTANCE,
     RAT_INSTANCE,
@@ -120,6 +121,72 @@ def test_canonicalize_properties_random():
         assert canonicalize(shuffled) == canon
         x = _random_gens(rng, 1)[0]
         assert in_hull(x, gens) == in_hull(x, canon)
+
+
+def _extreme_reference(gens):
+    """The distinct generators outside the oracle hull of the other distinct ones."""
+    unique = []
+    for g in gens:
+        if g not in unique:
+            unique.append(g)
+    return sorted(
+        g
+        for g in unique
+        if len(unique) == 1 or not in_hull_oracle(g, [u for u in unique if u != g])
+    )
+
+
+_KEYS = ("a", "b", "c", True, 1, point("a"), d_of(("a", 1, 2), ("b", 1, 2)))
+
+
+def _random_instance(rng):
+    keys = rng.sample(_KEYS, rng.randint(1, 4))
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            gens.append(point(rng.choice(keys)))
+            continue
+        support = rng.sample(keys, rng.randint(1, len(keys)))
+        # few distinct weights, so coordinate maxima and minima often tie
+        weights = [rng.randint(1, 2) for _ in support]
+        total = sum(weights)
+        gens.append(from_pairs((k, Fraction(w, total)) for k, w in zip(support, weights)))
+    return gens + rng.sample(gens, rng.randint(0, len(gens)))
+
+
+def test_canonicalize_matches_oracle_reference():
+    cases = [
+        # a tied coordinate (a) everywhere; the third point is the midpoint
+        [d_of(("a", 1, 2), ("b", 1, 2)), d_of(("a", 1, 2), ("c", 1, 2)),
+         d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4))],
+        [point(True), point(1), d_of((True, 1, 2), (1, 1, 2)), point(True)],
+        [point(k) for k in _KEYS] + [point("a")],
+        [point(point("a")), point(_KEYS[-1]),
+         from_pairs([(point("a"), Fraction(1, 2)), (_KEYS[-1], Fraction(1, 2))])],
+    ]
+    rng = random.Random(7)
+    cases += [_random_instance(rng) for _ in range(150)]
+    cases += [[point(rng.choice(_KEYS)) for _ in range(rng.randint(1, 8))] for _ in range(20)]
+    for gens in cases:
+        assert canonicalize(gens) == _extreme_reference(gens), gens
+
+
+def test_canonicalize_skips_lp_for_certainly_extreme_points(monkeypatch):
+    calls = []
+    solve = convexgeom._simplex_feasible
+
+    def counted(columns, rhs):
+        calls.append(len(columns))
+        return solve(columns, rhs)
+
+    monkeypatch.setattr(convexgeom, "_simplex_feasible", counted)
+    points = [point(i) for i in range(24)]
+    assert canonicalize(points) == points
+    assert calls == []
+    masses = [point(k) for k in "abcd"]
+    mixture = from_pairs((k, Fraction(1, 4)) for k in "abcd")
+    assert canonicalize(masses + [mixture]) == masses
+    assert len(calls) == 1
 
 
 @given(probs, dists, dists)
