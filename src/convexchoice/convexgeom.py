@@ -1,9 +1,12 @@
 """Convex-space operations, exact hull membership, and generator canonicalization.
 
-Hull membership is decided by a phase-1 simplex over exact rationals with
-Bland's anti-cycling rule, so it terminates and needs no tolerance.  A
-brute-force Caratheodory enumeration serves as an independent oracle for the
-same question; the two must agree and the test suite checks that they do.
+Hull membership is decided by a phase-1 simplex over integer rows (see
+`_simplex_feasible`): a zero-row presolve, no artificial columns, the largest
+reduced cost until the first degenerate pivot and Bland's rule after it, so it
+terminates, and an early stop once the artificial sum is 0.  Every sign test
+is exact, so it needs no tolerance.  A brute-force Caratheodory enumeration
+serves as an independent oracle for the same question; the two must agree and
+the test suite checks that they do.
 """
 
 from __future__ import annotations
@@ -103,77 +106,76 @@ def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> List[int]:
     return row
 
 
+def _eliminate(row: List[int], pivot_row: List[int], piv: int, f: int) -> List[int]:
+    """`row` with its entry in the pivot column cleared, divided by its gcd."""
+    row = [a * piv - f * b for a, b in zip(row, pivot_row)]
+    g = math.gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
 def _simplex_feasible(columns: List[List[int]], rhs: List[int]) -> bool:
     """Phase-1 simplex: is there x >= 0 with sum_j x_j * columns[j] = rhs?
 
-    Assumes rhs >= 0 componentwise (true here: coordinates are
-    distribution weights).  Bland's rule on both pivots guarantees
-    termination.
+    Assumes every entry of the columns and of rhs is >= 0 (true here: they
+    are distribution weights).  A row with rhs 0 then forces every column
+    with a positive entry in it to weight 0, so those columns and rows are
+    dropped first.
 
-    Rows are kept as integer vectors with an implicit positive
-    denominator: ratio tests compare by cross-multiplication and pivots
-    multiply through by the (positive) pivot entry, so every sign test is
-    exact and no rational arithmetic is needed in the loop.
+    The method minimizes the sum of one artificial variable per row, starting
+    from the all-artificial basis.  An artificial that leaves never re-enters,
+    so the tableau holds only [columns | rhs] and the objective row holds the
+    reduced costs of the columns and the artificial sum.  It stops with True
+    as soon as that sum is 0, and with False when it is positive but no column
+    has a positive reduced cost: the objective row is then y^T [columns | rhs]
+    for multipliers y with y^T column <= 0 for every column and y^T rhs > 0,
+    a Farkas certificate that no x exists.
+
+    The entering column has the largest reduced cost until the first
+    degenerate pivot (pivot row rhs 0) and the smallest index with a positive
+    one from then on, with ties in the ratio test going to the smallest basic
+    index.  Until the switch every pivot strictly lowers the artificial sum,
+    so no basis repeats; after it, Bland's rule guarantees termination.
+
+    Rows are kept as integer vectors with an implicit positive denominator:
+    ratio tests compare by cross-multiplication and pivots multiply through
+    by the (positive) pivot entry, so every sign test is exact and no
+    rational arithmetic is needed in the loop.
     """
-    m = len(rhs)
+    zero = [i for i, r in enumerate(rhs) if not r]
+    columns = [col for col in columns if not any(col[i] for i in zero)]
+    tab = [[col[i] for col in columns] + [r] for i, r in enumerate(rhs) if r]
     n = len(columns)
-    # tableau rows: [col_0 .. col_{n-1} | artificial identity | rhs]
-    tab = []
-    for i in range(m):
-        row = [col[i] for col in columns]
-        row.extend(1 if k == i else 0 for k in range(m))
-        row.append(rhs[i])
-        tab.append(row)
-    # objective: minimize the artificial sum; reduced-cost row starts as the
-    # column sums over the constraint rows (artificials reduce to zero).
-    width = n + m + 1
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(width)]
-    for k in range(m):
-        obj[n + k] = 0
-    basis = list(range(n, n + m))
-
-    while True:
-        enter = next((j for j in range(n + m) if obj[j] > 0), None)
-        if enter is None:
-            break
+    obj = [sum(row[j] for row in tab) for j in range(n + 1)]
+    basis = list(range(n, n + len(tab)))  # artificials get indices past the columns
+    bland = False
+    while obj[-1]:
+        enter = max(range(n), key=obj.__getitem__, default=None)
+        if enter is None or obj[enter] <= 0:
+            return False
+        if bland:
+            enter = next(j for j in range(n) if obj[j] > 0)
+        # obj[enter] > 0 sums the column over rows with an artificial basic
+        # variable, so some row has a positive entry and a row leaves.
         leave = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
                 if leave is None:
                     leave = i
                 else:
-                    lhs = tab[i][-1] * tab[leave][enter]
+                    lhs = row[-1] * tab[leave][enter]
                     rhs_cmp = tab[leave][-1] * a
                     if lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave]):
                         leave = i
-        if leave is None:
-            # cannot happen for a bounded feasibility system; guard anyway
-            return False
-        piv = tab[leave][enter]
         pivot_row = tab[leave]
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    row = tab[i]
-                    tab[i] = row = [a * piv - f * b for a, b in zip(row, pivot_row)]
-                    g = 0
-                    for a in row:
-                        g = math.gcd(g, a)
-                    if g > 1:
-                        tab[i] = [a // g for a in row]
-        f = obj[enter]
-        if f:
-            obj = [a * piv - f * b for a, b in zip(obj, pivot_row)]
-            g = 0
-            for a in obj:
-                g = math.gcd(g, a)
-            if g > 1:
-                obj = [a // g for a in obj]
+        piv = pivot_row[enter]
+        bland = bland or not pivot_row[-1]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter]:
+                tab[i] = _eliminate(row, pivot_row, piv, row[enter])
+        obj = _eliminate(obj, pivot_row, piv, obj[enter])
         basis[leave] = enter
-
-    return obj[-1] == 0
+    return True
 
 
 def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:

@@ -46,6 +46,11 @@ from .prob import Prob, ProbError, prob_make, render_rational
 
 Pos = Tuple[int, int]
 
+# Parentheses an expression or a value may nest.  Each expression level costs
+# the parser four stack frames, so a fixed limit well inside the interpreter's
+# recursion limit lets deep input end in a positioned error.
+MAX_PAREN_DEPTH = 100
+
 
 @dataclass
 class SourceError(Exception):
@@ -241,6 +246,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]) -> None:
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -259,6 +265,16 @@ class _Parser:
     def err(self, msg: str) -> SourceError:
         tok = self.peek()
         return SourceError("syntax", tok.pos[0], tok.pos[1], msg)
+
+    def open_paren(self) -> None:
+        if self.depth == MAX_PAREN_DEPTH:
+            raise self.err(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
+        self.next()
+        self.depth += 1
+
+    def close_paren(self) -> None:
+        self.expect("RPAREN", "')'")
+        self.depth -= 1
 
     def parse_expr(self) -> Expr:
         tok = self.peek()
@@ -322,9 +338,9 @@ class _Parser:
             node = Uniform if tok.kind == "UNIFORM" else Arbitrary
             return node(default, tuple(items), pos=tok.pos)
         if tok.kind == "LPAREN":
-            self.next()
+            self.open_paren()
             inner = self.parse_expr()
-            self.expect("RPAREN", "')'")
+            self.close_paren()
             return inner
         raise self.err(f"expected an expression, found {tok.text or 'end of input'!r}")
 
@@ -346,14 +362,12 @@ class _Parser:
             self.next()
             return Var(tok.text, pos=tok.pos)
         if tok.kind == "LPAREN":
-            self.next()
+            self.open_paren()
             left = self.parse_value()
             if self.peek().kind == "EQEQ":
                 self.next()
-                right = self.parse_value()
-                self.expect("RPAREN", "')'")
-                return Eq(left, right, pos=tok.pos)
-            self.expect("RPAREN", "')'")
+                left = Eq(left, self.parse_value(), pos=tok.pos)
+            self.close_paren()
             return left
         raise self.err(f"expected a value, found {tok.text or 'end of input'!r}")
 

@@ -75,6 +75,23 @@ def test_eval_wide_uniform(capsys, monkeypatch):
     assert out.out == "{" + ", ".join(f"{i}: 1/{n}" for i in range(n)) + "}\n"
 
 
+def test_eval_deep_parentheses(capsys, monkeypatch):
+    # expression and value parentheses; the error points at the 101st '('
+    for source, col in [("(" * 3000 + "ret 1" + ")" * 3000, 101),
+                        ("ret " + "(" * 3000 + "1" + ")" * 3000, 105)]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(source))
+        code = cli_main(["eval", "-"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert out.err == f"error: line 1, col {col}: syntax: parentheses nested deeper than 100\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("(" * 50 + "ret 1" + ")" * 50))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == "{1: 1}\n"
+
+
 def test_check_laws_failure_exit_code(capsys):
     # seed 0, one trial: the negative control finds nothing, so its verdict fails
     code = cli_main(

@@ -189,6 +189,64 @@ def test_canonicalize_skips_lp_for_certainly_extreme_points(monkeypatch):
     assert len(calls) == 1
 
 
+def _small_weights(rng, keys):
+    """A distribution over `keys` with integer weights 0-3."""
+    weights = [rng.randint(0, 3) for _ in keys]
+    if not any(weights):
+        weights[rng.randrange(len(keys))] = 1
+    total = sum(weights)
+    return from_pairs((k, Fraction(w, total)) for k, w in zip(keys, weights) if w)
+
+
+def _small_query(rng, keys, gens):
+    """A query point: random, over a subset of the keys, or a small mixture of generators."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _small_weights(rng, keys)
+    if kind == 1:
+        return _small_weights(rng, rng.sample(keys, rng.randint(1, len(keys))))
+    # mixtures of a few generators lie on faces of the hull, so ratio tests tie
+    # and pivots are degenerate
+    picked = rng.sample(gens, rng.randint(1, len(gens)))
+    weights = [rng.randint(1, 3) for _ in picked]
+    return from_pairs(
+        (k, w * p / sum(weights)) for g, w in zip(picked, weights) for k, p in g.entries
+    )
+
+
+def test_in_hull_matches_oracle_small_integer_weights():
+    rng = random.Random(31)
+    cases = [
+        # every generator has weight on a, where the query is 0: no column survives
+        (point("b"), [d_of(("a", 1, 2), ("b", 1, 2)), d_of(("a", 1, 4), ("b", 3, 4))]),
+        (point("b"), [d_of(("a", 1, 2), ("b", 1, 2)), point("b"), point("a")]),
+    ]
+    for _ in range(400):
+        keys = list("abcde"[: rng.randint(1, 5)])
+        gens = [_small_weights(rng, keys) for _ in range(rng.randint(1, 4))]
+        gens += rng.sample(gens, rng.randint(0, min(2, len(gens))))
+        if rng.random() < 0.3:
+            gens += [point(k) for k in rng.sample(keys, rng.randint(1, min(2, len(keys))))]
+        cases.append((_small_query(rng, keys, gens), gens))
+    for x, gens in cases:
+        assert in_hull(x, gens) == in_hull_oracle(x, gens), (x, gens)
+
+
+def test_simplex_feasible_hand_built():
+    columns = [[1, 2, 1], [2, 1, 1], [1, 1, 2]]
+    # a scaled column: the artificial sum reaches 0 after one pivot
+    assert convexgeom._simplex_feasible(columns, [3, 6, 3]) is True
+    # rhs 0 in row 0 rules out both columns, so nothing is left to combine
+    assert convexgeom._simplex_feasible([[1, 0], [1, 1]], [0, 1]) is False
+    # rhs 0 in row 2 leaves only [1, 1, 0], which carries [2, 2, 0]
+    assert convexgeom._simplex_feasible([[1, 1, 0], [1, 0, 1]], [2, 2, 0]) is True
+    assert convexgeom._simplex_feasible([[1, 1, 0], [1, 0, 1]], [2, 1, 0]) is False
+    # a tie in the first ratio test leads to a degenerate pivot, after which
+    # the entering column is chosen by Bland's rule
+    assert convexgeom._simplex_feasible([[1, 1, 0], [0, 2, 1], [1, 1, 1]], [1, 2, 1]) is True
+    assert convexgeom._simplex_feasible([[2, 2, 0], [0, 1, 1], [1, 1, 1]], [1, 1, 2]) is False
+
+
 @given(probs, dists, dists)
 @settings(max_examples=50)
 def test_hull_closed_under_mixture(p, d1, d2):
