@@ -1,12 +1,20 @@
 """Convex-space operations, exact hull membership, and generator canonicalization.
 
-Hull membership is decided by a phase-1 simplex over integer rows (see
-`_simplex_feasible`): a zero-row presolve, no artificial columns, the largest
-reduced cost until the first degenerate pivot and Bland's rule after it, so it
-terminates, and an early stop once the artificial sum is 0.  Every sign test
-is exact, so it needs no tolerance.  A brute-force Caratheodory enumeration
-serves as an independent oracle for the same question; the two must agree and
-the test suite checks that they do.
+All hull work reads one integer form of a generator list (`HullForm`): an
+index of the supported outcomes and one column of integer weights per
+generator.  A membership query maps the point into that index and answers
+False at once when the point has weight on an outcome no generator has, True
+at once when its row equals a generator's column, and otherwise runs a
+phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
+presolve, no artificial columns, the largest reduced cost until the first
+degenerate pivot and Bland's rule after it, so it terminates, and an early
+stop once the artificial sum is 0.  Every sign test is exact, so it needs no
+tolerance.  `in_hull` builds a form for one query; a `NECSet` keeps the form
+of its generators for all of its queries.
+
+A brute-force Caratheodory enumeration (`in_hull_oracle`) serves as an
+independent oracle for the same question: it shares no code with the form or
+the simplex.  The two must agree and the test suite checks that they do.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Generic, List, Sequence, Tuple, TypeVar
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_sort_key, outcome_tag
 from .prob import Prob
@@ -93,17 +102,57 @@ def _coordinate_index(dists: Sequence[Dist]) -> Dict[Tuple[int, Outcome], int]:
     return index
 
 
-def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> List[int]:
+def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> Optional[Tuple[int, ...]]:
     """The weights of `d` as numerators over one common denominator.
 
-    A positive scale per column (or per right-hand side) only rescales the
-    simplex variables, so hull membership is unchanged.
+    None when `d` puts weight on an outcome the index lacks.  A positive
+    scale per column (or per right-hand side) only rescales the simplex
+    variables, so hull membership is unchanged.  The scale is the least
+    common denominator, so two rows are equal exactly when their
+    distributions are: a row sums to its own scale.
     """
     scale = math.lcm(*(w.denominator for _, w in d.entries))
     row = [0] * len(index)
     for k, w in d.entries:
-        row[index[(outcome_tag(k), k)]] = w.numerator * (scale // w.denominator)
-    return row
+        i = index.get((outcome_tag(k), k))
+        if i is None:
+            return None
+        row[i] = w.numerator * (scale // w.denominator)
+    return tuple(row)
+
+
+class HullForm:
+    """The integer form of a generator list, read by every hull query on it.
+
+    `index` numbers the supported outcomes; `columns` holds each generator's
+    `_int_coords`, and `column_set` the same tuples for lookup.  The columns
+    are built on first use, so `canonicalize` pays for them only when some
+    point needs an LP.  Nothing is changed after it is built, so a form can
+    serve any number of queries.
+    """
+
+    def __init__(self, generators: Sequence[Dist]) -> None:
+        self.generators = generators
+        self.index = _coordinate_index(generators)
+
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(_int_coords(g, self.index) for g in self.generators)
+
+    @cached_property
+    def column_set(self) -> FrozenSet[Tuple[int, ...]]:
+        return frozenset(self.columns)
+
+    def contains(self, x: Dist) -> bool:
+        """Exact test for x in the hull, with an LP only when neither shortcut answers."""
+        row = _int_coords(x, self.index)
+        if row is None:
+            return False  # weight where every generator has none
+        if row in self.column_set:
+            return True  # x is a generator
+        # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
+        # coordinate rows and needs no row of its own.
+        return _simplex_feasible(self.columns, row)
 
 
 def _eliminate(row: List[int], pivot_row: List[int], piv: int, f: int) -> List[int]:
@@ -113,7 +162,7 @@ def _eliminate(row: List[int], pivot_row: List[int], piv: int, f: int) -> List[i
     return [a // g for a in row] if g > 1 else row
 
 
-def _simplex_feasible(columns: List[List[int]], rhs: List[int]) -> bool:
+def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     """Phase-1 simplex: is there x >= 0 with sum_j x_j * columns[j] = rhs?
 
     Assumes every entry of the columns and of rhs is >= 0 (true here: they
@@ -139,7 +188,8 @@ def _simplex_feasible(columns: List[List[int]], rhs: List[int]) -> bool:
     Rows are kept as integer vectors with an implicit positive denominator:
     ratio tests compare by cross-multiplication and pivots multiply through
     by the (positive) pivot entry, so every sign test is exact and no
-    rational arithmetic is needed in the loop.
+    rational arithmetic is needed in the loop.  Neither argument is
+    changed, so the columns a `HullForm` keeps can be passed as they are.
     """
     zero = [i for i, r in enumerate(rhs) if not r]
     columns = [col for col in columns if not any(col[i] for i in zero)]
@@ -179,16 +229,15 @@ def _simplex_feasible(columns: List[List[int]], rhs: List[int]) -> bool:
 
 
 def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
-    """Exact test for x in hull(generators), via LP feasibility."""
+    """Exact test for x in hull(generators), on a form built for this one query.
+
+    The answer comes from `HullForm.contains`, with no LP when x has weight on
+    an outcome no generator has or equals a generator.  A `NECSet` keeps its
+    form instead, so `necset.member` builds it once per set.
+    """
     if not generators:
         raise ValueError("empty generator list")
-    if any(g == x for g in generators):
-        return True
-    # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
-    # coordinate rows and needs no row of its own.
-    index = _coordinate_index([x, *generators])
-    columns = [_int_coords(g, index) for g in generators]
-    return _simplex_feasible(columns, _int_coords(x, index))
+    return HullForm(generators).contains(x)
 
 
 def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]):
@@ -272,7 +321,8 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     n = len(unique)
     if n <= 2:
         return unique
-    index = _coordinate_index(unique)
+    form = HullForm(unique)
+    index = form.index
     holders: List[List[Tuple[Fraction, int]]] = [[] for _ in index]  # (weight, generator)
     for j, g in enumerate(unique):
         for k, w in g.entries:
@@ -292,7 +342,7 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
                 extreme.add(col[weights.index(low)][1])
     if len(extreme) == n:
         return unique
-    coords = [_int_coords(g, index) for g in unique]
+    coords = form.columns
     alive = [True] * n
     for i in range(n):
         if i not in extreme:

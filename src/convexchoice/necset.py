@@ -10,9 +10,10 @@ generators pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .convexgeom import ConvexInstance, canonicalize, in_hull
+from .convexgeom import ConvexInstance, HullForm, canonicalize
 from .dist import Dist, compare_dist, conv_dist
 from .prob import Prob
 
@@ -31,6 +32,15 @@ class NECSet:
         for a, b in zip(self.generators, self.generators[1:]):
             if compare_dist(a, b) >= 0:
                 raise ValueError("generators not strictly sorted")
+
+    @cached_property
+    def hull_form(self) -> HullForm:
+        """The integer form of the generators, built on the first `member` query.
+
+        Lazy, because most sets are only built, combined and compared, and
+        never queried.  It is not a field: equality, hashing and order ignore it.
+        """
+        return HullForm(self.generators)
 
     def compare(self, other: "NECSet") -> int:
         return compare_necset(self, other)
@@ -81,7 +91,14 @@ def from_generators(generators: Iterable[Dist]) -> NECSet:
 
 
 def member(d: Dist, x: NECSet) -> bool:
-    return in_hull(d, x.generators)
+    """Exact test for d in x, on the integer form `x` keeps for all its queries.
+
+    The form is built on the first query (see `NECSet.hull_form`).  No LP runs
+    when `d` has weight on an outcome no generator has (False) or equals a
+    generator (True); otherwise one simplex runs over the kept columns, which
+    it does not change.
+    """
+    return x.hull_form.contains(d)
 
 
 def alt_necset(x: NECSet, y: NECSet) -> NECSet:

@@ -373,11 +373,14 @@ class _Parser:
 
 
 def _check_scope(e: Expr, bound: frozenset) -> None:
+    # The left spine of a choice chain is walked in a loop, so a long chain
+    # does not recurse; the right operands are then checked left to right.
+    rights = []
+    while isinstance(e, (Choice, Alt)):
+        rights.append(e.right)
+        e = e.left
     if isinstance(e, Ret):
         _check_value_scope(e.value, bound)
-    elif isinstance(e, (Choice, Alt)):
-        _check_scope(e.left, bound)
-        _check_scope(e.right, bound)
     elif isinstance(e, Bind):
         _check_scope(e.bound, bound)
         _check_scope(e.body, bound | {e.var})
@@ -387,6 +390,8 @@ def _check_scope(e: Expr, bound: frozenset) -> None:
             _check_value_scope(item, bound)
     else:
         raise TypeError(f"not an expression: {e!r}")
+    for right in reversed(rights):
+        _check_scope(right, bound)
 
 
 def _check_value_scope(v: ValueExpr, bound: frozenset) -> None:
@@ -454,13 +459,20 @@ def _render_raw(e: Expr) -> str:
             f"do {e.var} <- {_render_at(e.bound, _LEVEL_ALT)}; "
             f"{_render_at(e.body, _LEVEL_EXPR)}"
         )
-    if isinstance(e, Alt):
-        return f"{_render_at(e.left, _LEVEL_ALT)} [~] {_render_at(e.right, _LEVEL_CHOICE)}"
-    if isinstance(e, Choice):
-        return (
-            f"{_render_at(e.left, _LEVEL_CHOICE)} <|{e.prob}|> "
-            f"{_render_at(e.right, _LEVEL_PRIMARY)}"
-        )
+    if isinstance(e, (Choice, Alt)):
+        # The left spine is walked in a loop, so a long chain does not
+        # recurse; it ends at the first left operand that needs parentheses.
+        tails = []
+        while isinstance(e, (Choice, Alt)):
+            if isinstance(e, Alt):
+                need, right = _LEVEL_ALT, f" [~] {_render_at(e.right, _LEVEL_CHOICE)}"
+            else:
+                need, right = _LEVEL_CHOICE, f" <|{e.prob}|> {_render_at(e.right, _LEVEL_PRIMARY)}"
+            tails.append(right)
+            e = e.left
+            if _level(e) < need:
+                break
+        return _render_at(e, need) + "".join(reversed(tails))
     if isinstance(e, Uniform):
         items = ", ".join(render_value_expr(v) for v in e.items)
         return f"uniform {render_value_expr(e.default)} [{items}]"
@@ -504,10 +516,22 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
     env = env or {}
     if isinstance(e, Ret):
         return ret_gcm(eval_value(e.value, env))
-    if isinstance(e, Choice):
-        return choice_gcm(e.prob, eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, Alt):
-        return alt_gcm(eval_expr(e.left, env), eval_expr(e.right, env))
+    if isinstance(e, (Choice, Alt)):
+        # The left spine is walked in a loop, so a long chain does not
+        # recurse; operands are still evaluated left to right.
+        spine = []
+        while isinstance(e, (Choice, Alt)):
+            spine.append(e)
+            e = e.left
+        value = eval_expr(e, env)
+        for node in reversed(spine):
+            right = eval_expr(node.right, env)
+            value = (
+                choice_gcm(node.prob, value, right)
+                if isinstance(node, Choice)
+                else alt_gcm(value, right)
+            )
+        return value
     if isinstance(e, Bind):
         bound = eval_expr(e.bound, env)
         return bind_gcm(bound, lambda a: eval_expr(e.body, {**env, e.var: a}))

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 from pathlib import Path
 
 from convexchoice import __version__
@@ -90,6 +91,18 @@ def test_eval_deep_parentheses(capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == 0
     assert out.out == "{1: 1}\n"
+
+
+def test_eval_long_choice_chain(capsys, monkeypatch):
+    # ((ret 0 <|1/2|> ret 1) <|1/2|> ret 0) ...: the n/2 items `ret 1` weigh
+    # 2^-1, 2^-3, ..., 2^-(n-1), and `ret 0` the rest
+    n = 1200
+    monkeypatch.setattr("sys.stdin", io.StringIO(" <|1/2|> ".join(f"ret {i % 2}" for i in range(n))))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert code == 0
+    one = Fraction(2, 3) * (1 - Fraction(1, 4 ** (n // 2)))
+    assert out.out == f"{{0: {1 - one}, 1: {one}}}\n"
 
 
 def test_check_laws_failure_exit_code(capsys):

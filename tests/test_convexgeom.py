@@ -9,6 +9,7 @@ from convexchoice import convexgeom
 from convexchoice.convexgeom import (
     DIST_INSTANCE,
     RAT_INSTANCE,
+    HullForm,
     barycenter,
     canonicalize,
     convn,
@@ -18,6 +19,7 @@ from convexchoice.convexgeom import (
     vectorize,
 )
 from convexchoice.dist import bind_dist, from_pairs, map_dist, point
+from convexchoice.necset import from_generators, member
 
 
 def d_of(*pairs):
@@ -220,6 +222,14 @@ def test_in_hull_matches_oracle_small_integer_weights():
         # every generator has weight on a, where the query is 0: no column survives
         (point("b"), [d_of(("a", 1, 2), ("b", 1, 2)), d_of(("a", 1, 4), ("b", 3, 4))]),
         (point("b"), [d_of(("a", 1, 2), ("b", 1, 2)), point("b"), point("a")]),
+        # weight on a key no generator has: False with no LP
+        (point("c"), [point("a"), point("b")]),
+        (d_of(("a", 1, 2), ("c", 1, 2)), [point("a"), point("b"), d_of(("a", 1, 2), ("b", 1, 2))]),
+        (point(True), [point(1), d_of((1, 1, 2), ("a", 1, 2))]),
+        (d_of((True, 1, 2), (1, 1, 2)), [point(1), point("a")]),
+        # x equal to a generator: True with no LP
+        (d_of(("a", 1, 3), ("b", 2, 3)), [point("a"), d_of(("a", 1, 3), ("b", 2, 3)), point("b")]),
+        (point(True), [point(1), point(True)]),
     ]
     for _ in range(400):
         keys = list("abcde"[: rng.randint(1, 5)])
@@ -229,7 +239,16 @@ def test_in_hull_matches_oracle_small_integer_weights():
             gens += [point(k) for k in rng.sample(keys, rng.randint(1, min(2, len(keys))))]
         cases.append((_small_query(rng, keys, gens), gens))
     for x, gens in cases:
-        assert in_hull(x, gens) == in_hull_oracle(x, gens), (x, gens)
+        want = in_hull_oracle(x, gens)
+        assert in_hull(x, gens) == want, (x, gens)
+        # a set answers from the form it keeps: the same answer again after
+        # another query (the centre of the generators, inside by construction)
+        hull = from_generators(gens)
+        centre = from_pairs((k, w / len(gens)) for g in gens for k, w in g.entries)
+        assert member(x, hull) == want, (x, gens)
+        assert member(centre, hull) is True
+        assert member(x, hull) == want, (x, gens)
+        assert hull.hull_form.columns == HullForm(hull.generators).columns
 
 
 def test_simplex_feasible_hand_built():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dists, necsets, probs, small_necsets
-from convexchoice.convexgeom import convn
+from convexchoice import necset
+from convexchoice.convexgeom import HullForm, convn
 from convexchoice.dist import conv_dist, from_pairs, point
 from convexchoice.necset import (
     NECSET_INSTANCE,
@@ -55,6 +56,26 @@ def test_member_examples():
     x = from_generators([point("a"), point("b")])
     assert member(d_of(("a", 1, 2), ("b", 1, 2)), x)
     assert not member(point("c"), x)
+
+
+def test_member_builds_the_form_once_and_only_when_queried(monkeypatch):
+    built = []
+
+    class CountedForm(HullForm):
+        def __init__(self, generators):
+            built.append(generators)
+            super().__init__(generators)
+
+    monkeypatch.setattr(necset, "HullForm", CountedForm)
+    mid = d_of(("a", 1, 3), ("b", 1, 3), ("c", 1, 3))
+    x = from_generators([point("a"), point("b"), point("c"), mid])
+    assert built == []
+    queries = [mid, point("a"), point("d"), d_of(("a", 1, 2), ("d", 1, 2))]
+    assert [member(q, x) for q in queries * 3] == [True, True, False, False] * 3
+    assert built == [x.generators]
+    # the kept form is not part of the value
+    twin = from_generators([point("c"), point("b"), point("a")])
+    assert x == twin and hash(x) == hash(twin) and not x < twin and not twin < x
 
 
 def test_alt_examples():

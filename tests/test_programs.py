@@ -57,6 +57,11 @@ def test_parse_unbound_variable():
         parse("ret (x == true)")
     assert exc.value.kind == "unbound-variable"
     assert (exc.value.line, exc.value.column) == (1, 6)
+    # in a chain the first unbound variable from the left is reported
+    source = "ret 1 <|1/2|> ret x [~] ret y <|1/2|> ret z"
+    with pytest.raises(SourceError) as exc:
+        parse(source)
+    assert (exc.value.line, exc.value.column) == (1, source.index("x") + 1)
 
 
 def test_parse_probability_out_of_range():
@@ -243,6 +248,18 @@ def _gen_expr(rng: random.Random, bound, depth: int):
     items = tuple(_gen_value(rng, bound, 0) for _ in range(rng.randint(0, 3)))
     default = _gen_value(rng, bound, 0)
     return Uniform(default, items) if kind == "uniform" else Arbitrary(default, items)
+
+
+def test_round_trip_long_chains():
+    # compared as text: == on a parse tree 1200 deep would recurse by itself
+    chains = [
+        " <|1/2|> ".join(f"ret {i % 2}" for i in range(1200)),
+        " [~] ".join(f"ret {i % 2} <|1/3|> (ret 2 [~] ret 0)" for i in range(1200)),
+        "(ret 0 [~] ret 1) <|1/2|> ret 2 <|1/4|> ret 3",
+        "(do x <- ret 1; ret x) [~] ret 2 <|1/2|> ret 3 [~] ret 4",
+    ]
+    for source in chains:
+        assert render_expr(parse(source)) == source
 
 
 def test_round_trip_random_asts():
