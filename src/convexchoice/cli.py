@@ -6,7 +6,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import __version__
+from . import __version__, stats
 from .laws import GenConfig, check_all, check_law, law_names, render_report
 from .programs import SourceError, monty, parse, eval_expr, render
 
@@ -67,6 +67,9 @@ def _cmd_version(_args: argparse.Namespace) -> int:
     return 0
 
 
+STATS_HELP = "print LP calls and simplex pivots on one line to stderr"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexchoice",
@@ -77,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="parse, evaluate, and render a program")
     p_eval.add_argument("file", help="program file, or '-' for stdin")
     p_eval.add_argument("--format", choices=["text", "structured"], default="text")
+    p_eval.add_argument("--stats", action="store_true", help=STATS_HELP)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_laws = sub.add_parser("check-laws", help="run the randomized law suite")
     p_laws.add_argument("--trials", type=int, default=200)
     p_laws.add_argument("--seed", type=int, default=42)
     p_laws.add_argument("--law", default=None, help="check a single law by name")
+    p_laws.add_argument("--stats", action="store_true", help=STATS_HELP)
     p_laws.set_defaults(func=_cmd_check_laws)
 
     p_monty = sub.add_parser("monty", help="play the three-door game")
@@ -97,7 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if not getattr(args, "stats", False):
+        return args.func(args)
+    stats.start()
+    try:
+        return args.func(args)
+    finally:
+        stats.stop()
+        print(stats.render(), file=sys.stderr)
 
 
 def main() -> None:

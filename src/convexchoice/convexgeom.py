@@ -1,6 +1,6 @@
 """Convex-space operations, exact hull membership, and generator canonicalization.
 
-All hull work reads one integer form of a generator list (`HullForm`): an
+All membership work reads one integer form of a generator list (`HullForm`): an
 index of the supported outcomes and one column of integer weights per
 generator.  A membership query maps the point into that index and answers
 False at once when the point has weight on an outcome no generator has, True
@@ -11,6 +11,10 @@ degenerate pivot and Bland's rule after it, so it terminates, and an early
 stop once the artificial sum is 0.  Every sign test is exact, so it needs no
 tolerance.  `in_hull` builds a form for one query; a `NECSet` keeps the form
 of its generators for all of its queries.
+
+`minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
+from their extreme points, with the same pivot loop on a Gordan system per
+generator pair; it backs probabilistic choice on sets.
 
 A brute-force Caratheodory enumeration (`in_hull_oracle`) serves as an
 independent oracle for the same question: it shares no code with the form or
@@ -26,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
+from . import stats
 from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_sort_key, outcome_tag
 from .prob import Prob
 
@@ -48,22 +53,23 @@ DIST_INSTANCE: ConvexInstance[Dist] = ConvexInstance(conv_dist)
 
 
 def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
-    """n-ary convex combination, by recursion on the support of `weights`.
+    """n-ary convex combination, folded from the last supported index back.
 
-    `weights` is a distribution over integer indices into `points`.
+    `weights` is a distribution over integer indices into `points`.  Each
+    step mixes one more point into the accumulated mixture of those after
+    it, with its weight relative to the mass mixed so far, so the support
+    can be any size without recursion.
     """
     entries = weights.entries
     for idx, _ in entries:
         if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(points):
             raise ValueError(f"no point for supported index {idx!r}")
-    if len(entries) == 1:
-        return points[entries[0][0]]
-    (i0, w0), rest = entries[0], entries[1:]
-    if w0 == 1:
-        return points[i0]
-    scale = 1 / (1 - w0)
-    rest_weights = Dist(tuple((i, w * scale) for i, w in rest))
-    return inst.conv(Prob(w0), points[i0], convn(rest_weights, points, inst))
+    last, mass = entries[-1]
+    acc = points[last]
+    for idx, w in reversed(entries[:-1]):
+        mass += w
+        acc = inst.conv(Prob(w / mass), points[idx], acc)
+    return acc
 
 
 def barycenter(d: Dist, inst: ConvexInstance[C]) -> C:
@@ -71,14 +77,6 @@ def barycenter(d: Dist, inst: ConvexInstance[C]) -> C:
     pts = list(d.support())
     weights = from_pairs((i, w) for i, (_, w) in enumerate(d.entries))
     return convn(weights, pts, inst)
-
-
-@dataclass(frozen=True)
-class PointVec:
-    """A distribution embedded as a coordinate vector over a shared basis."""
-
-    basis: Tuple[Outcome, ...]
-    coords: Tuple[Fraction, ...]
 
 
 def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
@@ -89,8 +87,9 @@ def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
     return tuple(sorted(seen.values(), key=outcome_sort_key))
 
 
-def vectorize(d: Dist, basis: Sequence[Outcome]) -> PointVec:
-    return PointVec(tuple(basis), tuple(d.weight(b) for b in basis))
+def vectorize(d: Dist, basis: Sequence[Outcome]) -> Tuple[Fraction, ...]:
+    """The weights of `d` on each outcome of `basis`, in basis order."""
+    return tuple(d.weight(b) for b in basis)
 
 
 def _coordinate_index(dists: Sequence[Dist]) -> Dict[Tuple[int, Outcome], int]:
@@ -166,9 +165,24 @@ def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> b
     """Phase-1 simplex: is there x >= 0 with sum_j x_j * columns[j] = rhs?
 
     Assumes every entry of the columns and of rhs is >= 0 (true here: they
-    are distribution weights).  A row with rhs 0 then forces every column
-    with a positive entry in it to weight 0, so those columns and rows are
-    dropped first.
+    are distribution weights).  The work is split in two.  The presolve here
+    uses that sign: a row with rhs 0 forces every column with a positive
+    entry in it to weight 0, so those columns and rows are dropped.  What is
+    left goes to `_pivot_feasible`, the pivot loop, which takes entries of
+    either sign and is shared with `minkowski_vertices`.  Neither argument is
+    changed, so the columns a `HullForm` keeps can be passed as they are.
+    """
+    zero = [i for i, r in enumerate(rhs) if not r]
+    columns = [col for col in columns if not any(col[i] for i in zero)]
+    tab = [[col[i] for col in columns] + [r] for i, r in enumerate(rhs) if r]
+    return _pivot_feasible(tab, len(columns))
+
+
+def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
+    """Is there x >= 0 with sum_j row[j] * x_j = row[n] for every row of `tab`?
+
+    Entries may have either sign; every right-hand side row[n] must be >= 0.
+    `tab` is the tableau [columns | rhs] and is consumed.
 
     The method minimizes the sum of one artificial variable per row, starting
     from the all-artificial basis.  An artificial that leaves never re-enters,
@@ -188,20 +202,17 @@ def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> b
     Rows are kept as integer vectors with an implicit positive denominator:
     ratio tests compare by cross-multiplication and pivots multiply through
     by the (positive) pivot entry, so every sign test is exact and no
-    rational arithmetic is needed in the loop.  Neither argument is
-    changed, so the columns a `HullForm` keeps can be passed as they are.
+    rational arithmetic is needed in the loop.  The pivots are counted in a
+    local and reported once per LP to `stats` when counting is on.
     """
-    zero = [i for i, r in enumerate(rhs) if not r]
-    columns = [col for col in columns if not any(col[i] for i in zero)]
-    tab = [[col[i] for col in columns] + [r] for i, r in enumerate(rhs) if r]
-    n = len(columns)
     obj = [sum(row[j] for row in tab) for j in range(n + 1)]
     basis = list(range(n, n + len(tab)))  # artificials get indices past the columns
     bland = False
+    pivots = 0
     while obj[-1]:
         enter = max(range(n), key=obj.__getitem__, default=None)
         if enter is None or obj[enter] <= 0:
-            return False
+            break  # a Farkas certificate: infeasible
         if bland:
             enter = next(j for j in range(n) if obj[j] > 0)
         # obj[enter] > 0 sums the column over rows with an artificial basic
@@ -225,7 +236,79 @@ def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> b
                 tab[i] = _eliminate(row, pivot_row, piv, row[enter])
         obj = _eliminate(obj, pivot_row, piv, obj[enter])
         basis[leave] = enter
-    return True
+        pivots += 1
+    if stats.enabled:
+        stats.record_lp(pivots)
+    return not obj[-1]
+
+
+def _unforced(columns: List[List[int]]) -> List[List[int]]:
+    """The columns left free in sum_j x_j * columns[j] = 0 with x >= 0.
+
+    A row whose nonzero entries all have one sign forces their columns to 0;
+    dropping those columns may let another row do the same, so it repeats.
+    """
+    while columns:
+        forced = set()
+        for r in range(len(columns[0])):
+            signs = {col[r] > 0 for col in columns if col[r]}
+            if len(signs) == 1:
+                forced.update(j for j, col in enumerate(columns) if col[r])
+        if not forced:
+            break
+        columns = [col for j, col in enumerate(columns) if j not in forced]
+    return columns
+
+
+def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int, int]]:
+    """The pairs (i, j), sorted, for which xs[i] + ys[j] is a vertex of hull(xs) + hull(ys).
+
+    Both lists must be the extreme points of their hulls, as a `NECSet`'s
+    generators are.  A sum point is a vertex exactly when some direction c is
+    uniquely maximized by xs[i] over xs and by ys[j] over ys (Fukuda, "From
+    the zonotope construction to the Minkowski addition of convex polytopes",
+    J. Symbolic Computation 2004).  Positive scale factors do not move those
+    directions, so the same pairs give the vertices of p*hull(xs) +
+    (1-p)*hull(ys) for every p strictly between 0 and 1, and no two kept pairs
+    have the same sum.
+
+    A singleton list keeps every pair.  Otherwise, by Gordan's theorem, no
+    such c exists exactly when some lambda, mu >= 0 with sum lambda + sum mu
+    = 1 have sum_a lambda_a (x_a - x_i) + sum_b mu_b (y_b - y_j) = 0.  All
+    points are put in integer coordinates over one common denominator, so the
+    differences are integer columns.  `_unforced` first drops the columns
+    that a single-signed coordinate forces to 0; when none are left the pair
+    is kept with no LP (this covers xs[i] and ys[j] being the unique maximum,
+    or both the unique minimum, of one coordinate), and otherwise one LP over
+    the columns left decides it.
+    """
+    if len(xs) == 1 or len(ys) == 1:
+        return [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+    index = _coordinate_index([*xs, *ys])
+    scale = math.lcm(*(w.denominator for g in (*xs, *ys) for _, w in g.entries))
+
+    def coords(g: Dist) -> List[int]:
+        row = [0] * len(index)
+        for k, w in g.entries:
+            row[index[(outcome_tag(k), k)]] = w.numerator * (scale // w.denominator)
+        return row
+
+    xc = [coords(x) for x in xs]
+    yc = [coords(y) for y in ys]
+    kept = []
+    for i, xi in enumerate(xc):
+        for j, yj in enumerate(yc):
+            columns = [[u - v for u, v in zip(x, xi)] for a, x in enumerate(xc) if a != i]
+            columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if b != j]
+            columns = _unforced(columns)
+            if columns:
+                tab = [[col[r] for col in columns] + [0] for r in range(len(index))]
+                tab = [row for row in tab if any(row)]
+                tab.append([1] * (len(columns) + 1))  # sum lambda + sum mu = 1
+                if _pivot_feasible(tab, len(columns)):
+                    continue
+            kept.append((i, j))
+    return kept
 
 
 def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
@@ -288,8 +371,8 @@ def in_hull_oracle(x: Dist, generators: Sequence[Dist]) -> bool:
         return True
     basis = make_basis([x, *generators])
     dim = len(basis)
-    xv = list(vectorize(x, basis).coords) + [Fraction(1)]
-    vecs = [list(vectorize(g, basis).coords) + [Fraction(1)] for g in generators]
+    xv = list(vectorize(x, basis)) + [Fraction(1)]
+    vecs = [list(vectorize(g, basis)) + [Fraction(1)] for g in generators]
     max_size = min(len(generators), dim + 1)
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(range(len(generators)), size):

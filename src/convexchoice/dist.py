@@ -13,9 +13,10 @@ canonical form, so two equal distributions are structurally identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Tuple
 
 from .prob import Prob, render_rational
@@ -30,8 +31,14 @@ _TAG_SYMBOL = 2
 # bool is a subclass of int and True == 1 in Python; outcomes must instead be
 # compared tag-first so {true: 1} and {1: 1} stay distinct everywhere.
 
+# Tags of the exact outcome types, looked up before the isinstance chain.
+_TAG_OF_TYPE = {bool: _TAG_BOOL, int: _TAG_INT, str: _TAG_SYMBOL}
+
 
 def outcome_tag(x: Outcome) -> int:
+    tag = _TAG_OF_TYPE.get(type(x))
+    if tag is not None:
+        return tag
     if isinstance(x, bool):
         return _TAG_BOOL
     if isinstance(x, int):
@@ -81,19 +88,21 @@ class Dist:
     entries: Tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise ValueError("distribution must have non-empty support")
-        total = Fraction(0)
         prev = None
-        for key, weight in self.entries:
-            if weight <= 0:
+        for key, weight in entries:
+            if weight.numerator <= 0:  # a denominator is always positive
                 raise ValueError(f"non-positive weight {weight} for key {key!r}")
             if prev is not None and compare_outcomes(prev, key) >= 0:
                 raise ValueError("entries not strictly increasing")
             prev = key
-            total += weight
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        # The exact sum, as integer numerators over one common denominator.
+        scale = math.lcm(*(w.denominator for _, w in entries))
+        total = sum(w.numerator * (scale // w.denominator) for _, w in entries)
+        if total != scale:
+            raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
 
     def support(self) -> Tuple[Outcome, ...]:
         return tuple(k for k, _ in self.entries)
@@ -110,6 +119,8 @@ class Dist:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
+        if self is other:
+            return True
         if len(self.entries) != len(other.entries):
             return False
         return all(
@@ -117,8 +128,12 @@ class Dist:
             for (k1, w1), (k2, w2) in zip(self.entries, other.entries)
         )
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(tuple((outcome_tag(k), k, w) for k, w in self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash  # computed once per value; not a field
 
     def __lt__(self, other: "Dist") -> bool:
         return compare_dist(self, other) < 0
@@ -128,6 +143,9 @@ class Dist:
 
     def __repr__(self) -> str:
         return f"Dist({render_dist(self)})"
+
+
+_TAG_OF_TYPE[Dist] = Dist.ORDER_TAG
 
 
 def from_pairs(pairs: Iterable[Entry]) -> Dist:
@@ -156,16 +174,37 @@ def point(key: Outcome) -> Dist:
 
 
 def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:
-    """Pointwise mixture p*d1 + (1-p)*d2, re-canonicalized."""
+    """Pointwise mixture p*d1 + (1-p)*d2.
+
+    Both entry lists are already in canonical order, so one merge pass gives
+    the mixture's: a key in both gets the sum of its two scaled weights, and
+    no weight is 0 because p lies strictly between 0 and 1 there.
+    """
     if p.is_one():
         return d1
     if p.is_zero():
         return d2
     pv = p.value
     qv = 1 - pv
-    pairs = [(k, pv * w) for k, w in d1.entries]
-    pairs.extend((k, qv * w) for k, w in d2.entries)
-    return from_pairs(pairs)
+    a, b = d1.entries, d2.entries
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (k1, w1), (k2, w2) = a[i], b[j]
+        c = compare_outcomes(k1, k2)
+        if c < 0:
+            out.append((k1, pv * w1))
+            i += 1
+        elif c > 0:
+            out.append((k2, qv * w2))
+            j += 1
+        else:
+            out.append((k1, pv * w1 + qv * w2))
+            i += 1
+            j += 1
+    out.extend((k, pv * w) for k, w in a[i:])
+    out.extend((k, qv * w) for k, w in b[j:])
+    return Dist(tuple(out))
 
 
 def map_dist(f: Callable[[Outcome], Outcome], d: Dist) -> Dist:

@@ -49,9 +49,13 @@ def join_gcm(mm: GcmVal) -> GcmVal:
 
 
 def bind_gcm(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
-    """join after map; duplicate continuation images merge inside map_dist."""
-    lifted = from_generators([map_dist(k, d) for d in m.generators])
-    return join_gcm(lifted)
+    """join after map, without putting the mapped set in normal form first.
+
+    Barycenters are affine, so the barycenter of a mapped distribution that
+    is not extreme lies in the hull of the others' and the union's hull is
+    the same either way.  Duplicate continuation images merge in map_dist.
+    """
+    return lub_necset([barycenter(map_dist(k, d), NECSET_INSTANCE) for d in m.generators])
 
 
 def bind_gcm_direct(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:

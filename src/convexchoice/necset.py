@@ -3,8 +3,13 @@
 A `NECSet` is stored as the sorted extreme points of its hull, so
 structural equality of two sets coincides with equality of the convex
 sets they denote.  The nondeterministic-choice operators (binary `alt`
-and finite-family `lub`) are hull-of-union; probabilistic choice mixes
-generators pairwise.
+and finite-family `lub`) are hull-of-union.  Probabilistic choice is the
+Minkowski mixture p*X + (1-p)*Y, whose vertices are the mixtures of the
+generator pairs (x, y) that some one direction maximizes uniquely in both
+sets.  Scaling a set by a positive factor does not change which direction
+picks which point, so the rule needs no p: the pairs are found once from
+the two generator lists (see `convexgeom.minkowski_vertices`) and only the
+kept pairs are mixed.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .convexgeom import ConvexInstance, HullForm, canonicalize
+from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
 from .dist import Dist, compare_dist, conv_dist
 from .prob import Prob
 
@@ -117,13 +122,18 @@ def lub_necset(family: Sequence[NECSet]) -> NECSet:
 
 
 def conv_necset(p: Prob, x: NECSet, y: NECSet) -> NECSet:
-    """Probabilistic choice on sets: all pairwise generator mixtures."""
+    """Probabilistic choice on sets: the vertices of p*x + (1-p)*y.
+
+    Only the generator pairs that `minkowski_vertices` keeps are mixed; their
+    mixtures are distinct extreme points, so sorting them gives the normal form.
+    """
     if p.is_one():
         return x
     if p.is_zero():
         return y
-    return from_generators(
-        [conv_dist(p, gx, gy) for gx in x.generators for gy in y.generators]
+    gx, gy = x.generators, y.generators
+    return NECSet(
+        tuple(sorted(conv_dist(p, gx[i], gy[j]) for i, j in minkowski_vertices(gx, gy)))
     )
 
 

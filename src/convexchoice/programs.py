@@ -277,16 +277,20 @@ class _Parser:
         self.depth -= 1
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "DO":
-            self.next()
+        # A `do` sequence is read in a loop and its binders are nested from the
+        # last one back, so a long sequence does not recurse.
+        heads = []
+        while self.peek().kind == "DO":
+            tok = self.next()
             var = self.expect("VAR", "a variable name")
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
-            body = self.parse_expr()
-            return Bind(var.text, bound, body, pos=tok.pos)
-        return self.parse_alt()
+            heads.append((var.text, bound, tok.pos))
+        expr = self.parse_alt()
+        for var, bound, pos in reversed(heads):
+            expr = Bind(var, bound, expr, pos=pos)
+        return expr
 
     def parse_alt(self) -> Expr:
         left = self.parse_choice()
@@ -373,8 +377,13 @@ class _Parser:
 
 
 def _check_scope(e: Expr, bound: frozenset) -> None:
-    # The left spine of a choice chain is walked in a loop, so a long chain
-    # does not recurse; the right operands are then checked left to right.
+    # A `do` sequence and the left spine of a choice chain are walked in
+    # loops, so neither recurses when long; the right operands of a chain are
+    # then checked left to right.
+    while isinstance(e, Bind):
+        _check_scope(e.bound, bound)
+        bound = bound | {e.var}
+        e = e.body
     rights = []
     while isinstance(e, (Choice, Alt)):
         rights.append(e.right)
@@ -533,13 +542,61 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
             )
         return value
     if isinstance(e, Bind):
-        bound = eval_expr(e.bound, env)
-        return bind_gcm(bound, lambda a: eval_expr(e.body, {**env, e.var: a}))
+        return _eval_do(e, env)
     if isinstance(e, Uniform):
         return uniform(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
     if isinstance(e, Arbitrary):
         return arbitrary(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
     raise TypeError(f"not an expression: {e!r}")
+
+
+class _Level:
+    """One binder of a `do` sequence in evaluation: its bound value, the
+    distinct values to bind (in order of first appearance across the
+    generators), and the value of the rest of the sequence for each so far."""
+
+    __slots__ = ("var", "env", "bound", "keys", "values", "results")
+
+    def __init__(self, var: str, env: Dict[str, Outcome], bound: GcmVal) -> None:
+        self.var, self.env, self.bound = var, env, bound
+        distinct = {}
+        for d in bound.generators:
+            for a in d.support():
+                distinct.setdefault((outcome_tag(a), a), a)
+        self.keys = list(distinct)
+        self.values = list(distinct.values())
+        self.results: List[GcmVal] = []
+
+
+def _eval_do(e: Bind, env: Dict[str, Outcome]) -> GcmVal:
+    """A `do` sequence, on an explicit stack of binders instead of Python frames.
+
+    The rest of the sequence is evaluated once per distinct bound value, in
+    the order in which `bind_gcm` would first call the continuation on it,
+    so the first error raised is the same; `bind_gcm` then reads the results.
+    """
+    binders = []
+    while isinstance(e, Bind):
+        binders.append(e)
+        e = e.body
+    body = e
+    stack = [_Level(binders[0].var, env, eval_expr(binders[0].bound, env))]
+    while True:
+        level = stack[-1]
+        if len(level.results) < len(level.values):
+            inner = {**level.env, level.var: level.values[len(level.results)]}
+            if len(stack) == len(binders):
+                level.results.append(eval_expr(body, inner))
+            else:
+                node = binders[len(stack)]
+                stack.append(_Level(node.var, inner, eval_expr(node.bound, inner)))
+            continue
+        stack.pop()
+        table = dict(zip(level.keys, level.results))
+        value = bind_gcm(level.bound, lambda a: table[(outcome_tag(a), a)])
+        if not stack:
+            return value
+        stack[-1].results.append(value)
 
 
 def run(text: str) -> GcmVal:

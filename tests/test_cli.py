@@ -105,6 +105,31 @@ def test_eval_long_choice_chain(capsys, monkeypatch):
     assert out.out == f"{{0: {1 - one}, 1: {one}}}\n"
 
 
+def _binders(n, last):
+    return "; ".join(f"do x{i} <- ret {i}" for i in range(n)) + f"; ret {last}"
+
+
+def test_eval_long_do_sequence(capsys, monkeypatch):
+    # evaluation walks a do sequence on an explicit stack, not one frame per binder
+    for n, last, want in [(200, "x0", "{0: 1}"), (2000, "x1999", "{1999: 1}")]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(_binders(n, last)))
+        code = cli_main(["eval", "-"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (0, want + "\n", "")
+
+
+def test_eval_do_sequence_values_and_errors(capsys, monkeypatch):
+    program = "do x <- ret 0 [~] ret 1; do y <- ret x <|1/2|> ret 1; ret (x == y)"
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    assert cli_main(["eval", "-"]) == 0
+    assert capsys.readouterr().out == "{true: 1/2, false: 1/2}\n{true: 1}\n"
+    # true and A both fail; true is bound first (it sorts first), as with nested calls
+    program = "do x <- ret A [~] ret 1 [~] ret true; do y <- ret x; ret (y == 1)"
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    assert cli_main(["eval", "-"]) == 1
+    assert capsys.readouterr().err == "error: line 1, col 58: type: cannot compare true and 1\n"
+
+
 def test_check_laws_failure_exit_code(capsys):
     # seed 0, one trial: the negative control finds nothing, so its verdict fails
     code = cli_main(

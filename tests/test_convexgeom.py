@@ -41,6 +41,16 @@ def test_convn_dist_instance():
     assert got == d_of(("a", 1, 3), ("b", 2, 3))
 
 
+def test_convn_wide_support_does_not_recurse():
+    n = 1500
+    weights = from_pairs((i, Fraction(1, n)) for i in range(n))
+    assert convn(weights, [Fraction(i) for i in range(n)], RAT_INSTANCE) == Fraction(n - 1, 2)
+    # a short list, against its weighted sum
+    weights = idx_dist((0, 1, 6), (1, 1, 3), (2, 1, 2))
+    want = Fraction(1, 6) * 2 + Fraction(1, 3) * 3 + Fraction(1, 2) * 7
+    assert convn(weights, [Fraction(2), Fraction(3), Fraction(7)], RAT_INSTANCE) == want
+
+
 def test_convn_missing_point():
     with pytest.raises(ValueError):
         convn(point(2), [Fraction(0)], RAT_INSTANCE)
@@ -291,5 +301,5 @@ def test_basis_and_vectorize():
     basis = make_basis([d1, d2])
     assert basis == ("a", "b", "c")
     vec = vectorize(d1, basis)
-    assert vec.coords == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    assert sum(vec.coords) == 1
+    assert vec == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    assert sum(vec) == 1

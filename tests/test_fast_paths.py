@@ -1,0 +1,202 @@
+"""Differential tests of the fast paths against the definitions they replace.
+
+Each reference below is the plain definition, kept only here:
+
+- `conv_necset` mixes only the generator pairs that `minkowski_vertices`
+  keeps; the reference mixes every pair and puts the products in normal form.
+- `conv_dist` merges two sorted entry lists; the reference re-canonicalizes
+  the scaled entries with `from_pairs`.
+- `bind_gcm` takes the hull of the barycenters of all mapped generators; the
+  references are `join_gcm` of the mapped set in normal form, and
+  `bind_gcm_direct`.
+"""
+
+import random
+from fractions import Fraction
+
+from convexchoice import stats
+from convexchoice.convexgeom import minkowski_vertices
+from convexchoice.dist import Dist, conv_dist, from_pairs, map_dist, point
+from convexchoice.gcm import bind_gcm, bind_gcm_direct, join_gcm
+from convexchoice.necset import conv_necset, from_generators, singleton_necset
+from convexchoice.prob import Prob
+
+ATOMS = [True, False, 0, 1, 2, "a", "b"]
+NESTED = [
+    point("a"),
+    from_pairs([("a", Fraction(1, 2)), (True, Fraction(1, 2))]),
+    from_generators([point(1), point(True)]),
+    singleton_necset(point("b")),
+]
+PROBS = [Prob(Fraction(n, d)) for n, d in [(0, 1), (1, 1), (1, 2), (1, 3), (1, 1000), (999, 1000)]]
+
+
+def _conv_dist_ref(p, d1, d2):
+    pairs = [(k, p.value * w) for k, w in d1.entries]
+    pairs += [(k, (1 - p.value) * w) for k, w in d2.entries]
+    return from_pairs(pairs)
+
+
+def _conv_necset_ref(p, x, y):
+    return from_generators(
+        [_conv_dist_ref(p, gx, gy) for gx in x.generators for gy in y.generators]
+    )
+
+
+def _random_dist(rng, keys):
+    picked = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+    weights = [rng.randint(1, 4) for _ in picked]
+    return from_pairs((k, Fraction(w, sum(weights))) for k, w in zip(picked, weights))
+
+
+def _random_set(rng, keys, most=7):
+    return from_generators([_random_dist(rng, keys) for _ in range(rng.randint(1, most))])
+
+
+def _random_prob(rng):
+    if rng.random() < 0.3:
+        return rng.choice(PROBS)
+    den = rng.randint(2, 12)
+    return Prob(Fraction(rng.randint(1, den - 1), den))
+
+
+def _segment(a, b):
+    return from_generators([from_pairs(a), from_pairs(b)])
+
+
+def _w(*pairs):
+    return [(k, Fraction(n, d)) for k, n, d in pairs]
+
+
+def _lp_count(fn, *args):
+    stats.start()
+    try:
+        result = fn(*args)
+    finally:
+        stats.stop()
+    return result, stats.lp_calls
+
+
+def test_conv_necset_hand_built_cases():
+    d0, d1, mid = point(0), point(1), from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    both = from_generators([d0, d1])
+    half = Prob(Fraction(1, 2))
+    # the sums of (d0, d1) and (d1, d0) coincide at the midpoint: two vertices, not three
+    assert conv_necset(half, both, both).generators == both.generators
+    assert mid not in conv_necset(half, both, both).generators
+    # True next to 1: four distinct outcomes, a square of four vertices
+    bools = from_generators([point(True), point(1)])
+    ints = from_generators([point(False), point(0)])
+    assert len(conv_necset(half, bools, ints).generators) == 4
+    parallel_same = _segment(_w(("a", 1, 1)), _w(("b", 1, 1)))
+    parallel_short = _segment(_w(("a", 3, 4), ("b", 1, 4)), _w(("a", 1, 4), ("b", 3, 4)))
+    opposite = _segment(_w(("b", 1, 1)), _w(("a", 1, 1)))  # the same segment, reversed
+    crossing = _segment(_w(("c", 1, 1)), _w(("a", 1, 2), ("b", 1, 2)))
+    general_x = _segment(_w(("a", 1, 3), ("b", 1, 3), ("c", 1, 3)), _w(("a", 1, 2), ("b", 1, 2)))
+    general_y = _segment(_w(("a", 1, 3), ("b", 1, 3), ("c", 1, 3)), _w(("a", 1, 2), ("c", 1, 2)))
+    sets = [both, bools, ints, parallel_same, parallel_short, opposite, crossing, general_x, general_y]
+    sets += [singleton_necset(mid), singleton_necset(point(True)), from_generators(NESTED[:2])]
+    for x in sets:
+        for y in sets:
+            for p in PROBS:
+                assert conv_necset(p, x, y) == _conv_necset_ref(p, x, y), (p, x, y)
+    assert len(conv_necset(half, parallel_same, parallel_short).generators) == 2
+    assert len(conv_necset(half, general_x, general_y).generators) == 4
+
+
+def test_conv_necset_matches_pairwise_products_random():
+    rng = random.Random(20)
+    keys = ["a", "b", "c", "d", True, 1]
+    sizes = set()
+    for _ in range(250):
+        x, y = _random_set(rng, keys), _random_set(rng, keys)
+        sizes.update((len(x.generators), len(y.generators)))
+        p = _random_prob(rng)
+        assert conv_necset(p, x, y) == _conv_necset_ref(p, x, y), (p, x, y)
+    assert sizes >= set(range(1, 8))
+
+
+def test_conv_necset_nested_keys():
+    rng = random.Random(21)
+    keys = NESTED + ["a"]
+    for _ in range(60):
+        x, y = _random_set(rng, keys, 4), _random_set(rng, keys, 4)
+        p = _random_prob(rng)
+        assert conv_necset(p, x, y) == _conv_necset_ref(p, x, y), (p, x, y)
+
+
+def test_minkowski_vertex_lp_counts_are_pinned():
+    x = _segment(_w(("a", 1, 3), ("b", 1, 3), ("c", 1, 3)), _w(("a", 1, 2), ("b", 1, 2)))
+    y = _segment(_w(("a", 1, 3), ("b", 1, 3), ("c", 1, 3)), _w(("a", 1, 2), ("c", 1, 2)))
+    # general position: each of the four pairs shares a coordinate's unique max or min
+    pairs, lps = _lp_count(minkowski_vertices, x.generators, y.generators)
+    assert (pairs, lps) == ([(0, 0), (0, 1), (1, 0), (1, 1)], 0)
+    # a singleton operand keeps every pair
+    four = from_generators([point(k) for k in "abcd"])
+    pairs, lps = _lp_count(minkowski_vertices, (point("e"),), four.generators)
+    assert (len(pairs), lps) == (4, 0)
+    pairs, lps = _lp_count(minkowski_vertices, four.generators, (point("e"),))
+    assert (len(pairs), lps) == (4, 0)
+    # parallel segments (opposite orientation, as sorted): the two pairs that no
+    # coordinate settles each need an LP, and both sums fall inside
+    x = _segment(_w(("a", 1, 1)), _w(("b", 1, 1)))
+    y = _segment(_w(("a", 3, 4), ("b", 1, 4)), _w(("a", 1, 4), ("b", 3, 4)))
+    pairs, lps = _lp_count(minkowski_vertices, x.generators, y.generators)
+    assert (pairs, lps) == ([(0, 1), (1, 0)], 2)
+    # a tie in y's coordinate a: no coordinate's unique max or min settles (0, 0)
+    # or (1, 1), but dropping the columns that coordinate a forces to 0 leaves
+    # one column with a single sign in coordinate b, so no LP is needed
+    x = _segment(_w(("a", 1, 1)), _w(("b", 1, 1)))
+    y = _segment(_w(("a", 1, 2), ("b", 1, 2)), _w(("a", 1, 2), ("c", 1, 2)))
+    pairs, lps = _lp_count(minkowski_vertices, x.generators, y.generators)
+    assert (pairs, lps) == ([(0, 0), (0, 1), (1, 0), (1, 1)], 0)
+
+
+def test_conv_dist_matches_from_pairs():
+    rng = random.Random(22)
+    keys = ATOMS + NESTED
+    for _ in range(400):
+        d1, d2 = _random_dist(rng, keys), _random_dist(rng, keys)
+        p = _random_prob(rng)
+        got = conv_dist(p, d1, d2)
+        assert got == _conv_dist_ref(p, d1, d2), (p, d1, d2)
+        assert got.entries == _conv_dist_ref(p, d1, d2).entries
+
+
+def test_bind_matches_join_of_normal_form_and_direct():
+    rng = random.Random(23)
+    keys = [True, 1, "a", "b"]
+    for _ in range(80):
+        m = _random_set(rng, keys, 3)
+        table = {(type(k), k): _random_set(rng, keys, 2) for k in keys}
+
+        def k(a):
+            return table[(type(a), a)]
+
+        want = join_gcm(from_generators([map_dist(k, d) for d in m.generators]))
+        got = bind_gcm(m, k)
+        assert got == want, (m, table)
+        assert got == bind_gcm_direct(m, k), (m, table)
+
+
+def test_equal_dists_hash_equal_by_every_route():
+    rng = random.Random(24)
+    keys = ATOMS + NESTED
+    for _ in range(200):
+        d = _random_dist(rng, keys)
+        split = [(k, w / 2) for k, w in d.entries] * 2
+        rng.shuffle(split)
+        p = _random_prob(rng)
+        routes = [
+            d,
+            Dist(tuple(d.entries)),
+            from_pairs(split),
+            map_dist(lambda a: a, d),
+            conv_dist(p, d, d),
+            _conv_dist_ref(p, d, d),
+        ]
+        hash(routes[0])  # computed and kept before the others are built or hashed
+        for other in routes:
+            assert other == d and hash(other) == hash(d)
+        assert len(set(routes)) == 1
+    assert point(True) != point(1) and len({point(True), point(1)}) == 2

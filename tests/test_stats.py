@@ -1,0 +1,57 @@
+"""The opt-in LP counters and the `--stats` flag."""
+
+import io
+from fractions import Fraction
+
+from convexchoice import stats
+from convexchoice.cli import cli_main
+from convexchoice.convexgeom import in_hull
+from convexchoice.dist import from_pairs, point
+
+
+def _stats_line(err):
+    lines = [l for l in err.splitlines() if l.startswith("stats: ")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def test_counters_are_off_by_default_and_count_when_on():
+    gens = [point("a"), point("b"), point("c")]
+    query = from_pairs([("a", Fraction(1, 2)), ("c", Fraction(1, 2))])
+    stats.start()
+    stats.stop()
+    assert in_hull(query, gens)  # one LP, not counted
+    assert stats.snapshot() == {"lp_calls": 0, "pivots": 0}
+    stats.start()
+    try:
+        assert in_hull(query, gens)
+    finally:
+        stats.stop()
+    assert stats.lp_calls == 1 and stats.pivots >= 1
+
+
+def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
+    lines = []
+    for _ in range(2):
+        code = cli_main(["check-laws", "--trials", "3", "--seed", "42", "--stats"])
+        out = capsys.readouterr()
+        assert code == 0
+        assert "stats" not in out.out
+        lines.append(_stats_line(out.err))
+    assert lines[0] == lines[1]
+    counts = dict(part.split("=") for part in lines[0][len("stats: "):].split())
+    assert set(counts) == {"lp_calls", "pivots"}
+    assert int(counts["lp_calls"]) > 0 and int(counts["pivots"]) >= int(counts["lp_calls"])
+    assert not stats.enabled
+
+
+def test_eval_stats_line_leaves_stdout_alone(capsys, monkeypatch):
+    program = "do x <- ret 0 [~] ret 1; ret x <|1/3|> ret 2"
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    assert cli_main(["eval", "-"]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(program))
+    assert cli_main(["eval", "-", "--stats"]) == 0
+    counted = capsys.readouterr()
+    assert counted.out == plain.out and plain.err == ""
+    assert _stats_line(counted.err) == "stats: lp_calls=0 pivots=0"
