@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_sort_key, outcome_tag
+from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_key
 from .prob import Prob
 
 C = TypeVar("C")
@@ -83,8 +83,8 @@ def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
     seen = {}
     for d in dists:
         for k in d.support():
-            seen.setdefault((outcome_tag(k), k), k)
-    return tuple(sorted(seen.values(), key=outcome_sort_key))
+            seen.setdefault(outcome_key(k), k)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def vectorize(d: Dist, basis: Sequence[Outcome]) -> Tuple[Fraction, ...]:
@@ -92,16 +92,16 @@ def vectorize(d: Dist, basis: Sequence[Outcome]) -> Tuple[Fraction, ...]:
     return tuple(d.weight(b) for b in basis)
 
 
-def _coordinate_index(dists: Sequence[Dist]) -> Dict[Tuple[int, Outcome], int]:
-    """Row index of every supported outcome, keyed by tag so `True` and `1` differ."""
-    index: Dict[Tuple[int, Outcome], int] = {}
+def _coordinate_index(dists: Sequence[Dist]) -> Dict[tuple, int]:
+    """Row index of every supported outcome, by `outcome_key` so `True` and `1` differ."""
+    index: Dict[tuple, int] = {}
     for d in dists:
-        for k, _ in d.entries:
-            index.setdefault((outcome_tag(k), k), len(index))
+        for k, _ in d.key[1]:
+            index.setdefault(k, len(index))
     return index
 
 
-def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> Optional[Tuple[int, ...]]:
+def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
     """The weights of `d` as numerators over one common denominator.
 
     None when `d` puts weight on an outcome the index lacks.  A positive
@@ -112,8 +112,8 @@ def _int_coords(d: Dist, index: Dict[Tuple[int, Outcome], int]) -> Optional[Tupl
     """
     scale = math.lcm(*(w.denominator for _, w in d.entries))
     row = [0] * len(index)
-    for k, w in d.entries:
-        i = index.get((outcome_tag(k), k))
+    for k, w in d.key[1]:
+        i = index.get(k)
         if i is None:
             return None
         row[i] = w.numerator * (scale // w.denominator)
@@ -289,8 +289,8 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
 
     def coords(g: Dist) -> List[int]:
         row = [0] * len(index)
-        for k, w in g.entries:
-            row[index[(outcome_tag(k), k)]] = w.numerator * (scale // w.denominator)
+        for k, w in g.key[1]:
+            row[index[k]] = w.numerator * (scale // w.denominator)
         return row
 
     xc = [coords(x) for x in xs]
@@ -408,8 +408,8 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     index = form.index
     holders: List[List[Tuple[Fraction, int]]] = [[] for _ in index]  # (weight, generator)
     for j, g in enumerate(unique):
-        for k, w in g.entries:
-            holders[index[(outcome_tag(k), k)]].append((w, j))
+        for k, w in g.key[1]:
+            holders[index[k]].append((w, j))
     extreme = set()
     for col in holders:
         weights = [w for w, _ in col]

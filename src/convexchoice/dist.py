@@ -1,14 +1,18 @@
 """Finitely-supported probability distributions over an ordered outcome domain.
 
 Outcomes are booleans, integers, symbols (plain strings), or nested `Dist`
-and `NECSet` values.  A single total order covers all of them: tag order
-first (bool < int < symbol < dist < necset), then value order within the
-tag.  Within bool, `True` sorts before `False`.
+and `NECSet` values.  One total order covers all of them, given by one sort
+key per outcome, `outcome_key`: `(0, not x)` for a bool, so `true` sorts
+before `false`; `(1, x)` for an int; `(2, x)` for a symbol; and the cached
+`key` of a `Dist`, `(3, ((key of k, w), ...))` over its entries, or of a
+`NECSet`, `(4, (key of g, ...))` over its generators.  Keys compare as
+tuples: entry by entry, with a strict prefix smaller.  The leading number
+keeps `True` and `1` apart, though Python has `True == 1`.
 
 A `Dist` is stored canonically as a tuple of (key, weight) entries with
 keys strictly increasing, weights strictly positive, and weights summing
-exactly to 1.  Equality, ordering, and rendering are all defined on this
-canonical form, so two equal distributions are structurally identical.
+exactly to 1.  Equality, hashing and order are all read from the key of
+this canonical form, so two equal distributions are structurally identical.
 """
 
 from __future__ import annotations
@@ -16,136 +20,116 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from typing import Callable, Iterable, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Tuple
 
 from .prob import Prob, render_rational
 
 Outcome = object
 Entry = Tuple[Outcome, Fraction]
 
-_TAG_BOOL = 0
-_TAG_INT = 1
-_TAG_SYMBOL = 2
+# The sort key of each exact outcome type; every `Keyed` class adds itself.
+_KEY_OF_TYPE: Dict[type, Callable[[Outcome], tuple]] = {
+    bool: lambda x: (0, not x),
+    int: lambda x: (1, x),
+    str: lambda x: (2, x),
+}
 
-# bool is a subclass of int and True == 1 in Python; outcomes must instead be
-# compared tag-first so {true: 1} and {1: 1} stay distinct everywhere.
 
-# Tags of the exact outcome types, looked up before the isinstance chain.
-_TAG_OF_TYPE = {bool: _TAG_BOOL, int: _TAG_INT, str: _TAG_SYMBOL}
+def outcome_key(x: Outcome) -> tuple:
+    """The sort key of an outcome: equal keys exactly for equal outcomes."""
+    key_of = _KEY_OF_TYPE.get(type(x))
+    if key_of is None:
+        raise TypeError(f"not an outcome: {x!r}")
+    return key_of(x)
 
 
 def outcome_tag(x: Outcome) -> int:
-    tag = _TAG_OF_TYPE.get(type(x))
-    if tag is not None:
-        return tag
-    if isinstance(x, bool):
-        return _TAG_BOOL
-    if isinstance(x, int):
-        return _TAG_INT
-    if isinstance(x, str):
-        return _TAG_SYMBOL
-    tag = getattr(type(x), "ORDER_TAG", None)
-    if tag is not None:
-        return tag
-    raise TypeError(f"not an outcome: {x!r}")
+    """The kind of an outcome, the first entry of its key: bool 0 ... NECSet 4."""
+    return outcome_key(x)[0]
 
 
-def outcomes_equal(a: Outcome, b: Outcome) -> bool:
-    return outcome_tag(a) == outcome_tag(b) and a == b
+class Keyed:
+    """Equality, hashing and `<` of a nested value, all read from its `key`.
 
+    A subclass defines `key` and becomes an outcome kind.  The hash is
+    computed once per value.
+    """
 
-def compare_outcomes(a: Outcome, b: Outcome) -> int:
-    """Total order on outcomes: -1, 0, or 1."""
-    ta, tb = outcome_tag(a), outcome_tag(b)
-    if ta != tb:
-        return -1 if ta < tb else 1
-    if ta == _TAG_BOOL:
-        # true sorts before false
-        if a == b:
-            return 0
-        return -1 if a else 1
-    if ta in (_TAG_INT, _TAG_SYMBOL):
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-    return a.compare(b)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _KEY_OF_TYPE[cls] = attrgetter("key")
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Keyed):
+            return NotImplemented
+        return self.key == other.key
 
-def _hash_key(x: Outcome):
-    return (outcome_tag(x), x)
+    def __lt__(self, other: "Keyed") -> bool:
+        return self.key < other.key
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.key)
 
-outcome_sort_key = cmp_to_key(compare_outcomes)
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)
-class Dist:
+class Dist(Keyed):
     """A canonical finitely-supported distribution."""
-
-    ORDER_TAG = 3
 
     entries: Tuple[Entry, ...]
 
     def __post_init__(self) -> None:
+        self._check()
+
+    def _check(self) -> None:
+        """The canonical-form invariants; raises ValueError on the first broken.
+
+        The key of a one-entry distribution is not read, so `barycenter` can
+        take point masses on values that are not outcomes, such as rationals.
+        """
         entries = self.entries
-        if not entries:
+        if type(entries) is not tuple or not entries:
             raise ValueError("distribution must have non-empty support")
-        prev = None
         for key, weight in entries:
-            if weight.numerator <= 0:  # a denominator is always positive
-                raise ValueError(f"non-positive weight {weight} for key {key!r}")
-            if prev is not None and compare_outcomes(prev, key) >= 0:
+            # a denominator is always positive
+            if not isinstance(weight, Fraction) or weight.numerator <= 0:
+                raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
+        if len(entries) > 1:
+            keys = self.key[1]
+            if any(a[0] >= b[0] for a, b in zip(keys, keys[1:])):
                 raise ValueError("entries not strictly increasing")
-            prev = key
         # The exact sum, as integer numerators over one common denominator.
         scale = math.lcm(*(w.denominator for _, w in entries))
         total = sum(w.numerator * (scale // w.denominator) for _, w in entries)
         if total != scale:
             raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
 
+    @cached_property
+    def key(self) -> tuple:
+        return (3, tuple((outcome_key(k), w) for k, w in self.entries))
+
     def support(self) -> Tuple[Outcome, ...]:
         return tuple(k for k, _ in self.entries)
 
     def weight(self, key: Outcome) -> Fraction:
-        for k, w in self.entries:
-            if outcomes_equal(k, key):
+        wanted = outcome_key(key)
+        for k, w in self.key[1]:
+            if k == wanted:
                 return w
         return Fraction(0)
-
-    def compare(self, other: "Dist") -> int:
-        return compare_dist(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dist):
-            return NotImplemented
-        if self is other:
-            return True
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(
-            outcomes_equal(k1, k2) and w1 == w2
-            for (k1, w1), (k2, w2) in zip(self.entries, other.entries)
-        )
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(tuple((outcome_tag(k), k, w) for k, w in self.entries))
-
-    def __hash__(self) -> int:
-        return self._hash  # computed once per value; not a field
-
-    def __lt__(self, other: "Dist") -> bool:
-        return compare_dist(self, other) < 0
 
     def __str__(self) -> str:
         return render_dist(self)
 
     def __repr__(self) -> str:
         return f"Dist({render_dist(self)})"
-
-
-_TAG_OF_TYPE[Dist] = Dist.ORDER_TAG
 
 
 def from_pairs(pairs: Iterable[Entry]) -> Dist:
@@ -159,13 +143,12 @@ def from_pairs(pairs: Iterable[Entry]) -> Dist:
             raise ValueError(f"negative weight {weight} for key {key!r}")
         if weight == 0:
             continue
-        hk = _hash_key(key)
-        if hk in acc:
-            acc[hk] = (key, acc[hk][1] + weight)
+        k = outcome_key(key)
+        if k in acc:
+            acc[k] = (key, acc[k][1] + weight)
         else:
-            acc[hk] = (key, weight)
-    items = sorted(acc.values(), key=lambda kw: outcome_sort_key(kw[0]))
-    return Dist(tuple(items))
+            acc[k] = (key, weight)
+    return Dist(tuple(entry for _, entry in sorted(acc.items())))
 
 
 def point(key: Outcome) -> Dist:
@@ -187,15 +170,16 @@ def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:
     pv = p.value
     qv = 1 - pv
     a, b = d1.entries, d2.entries
+    ka, kb = d1.key[1], d2.key[1]
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
         (k1, w1), (k2, w2) = a[i], b[j]
-        c = compare_outcomes(k1, k2)
-        if c < 0:
+        c1, c2 = ka[i][0], kb[j][0]
+        if c1 < c2:
             out.append((k1, pv * w1))
             i += 1
-        elif c > 0:
+        elif c2 < c1:
             out.append((k2, qv * w2))
             j += 1
         else:
@@ -220,46 +204,25 @@ def bind_dist(d: Dist, k: Callable[[Outcome], Dist]) -> Dist:
     return from_pairs(pairs)
 
 
-def compare_dist(d1: Dist, d2: Dist) -> int:
-    """Lexicographic order on entry lists; a strict prefix is smaller."""
-    for (k1, w1), (k2, w2) in zip(d1.entries, d2.entries):
-        c = compare_outcomes(k1, k2)
-        if c != 0:
-            return c
-        if w1 != w2:
-            return -1 if w1 < w2 else 1
-    if len(d1.entries) != len(d2.entries):
-        return -1 if len(d1.entries) < len(d2.entries) else 1
-    return 0
+def compare_dist(d1: Outcome, d2: Outcome) -> int:
+    """-1, 0 or 1 as `d1` sorts before, with or after `d2`; any two outcomes compare."""
+    return (outcome_key(d1) > outcome_key(d2)) - (outcome_key(d1) < outcome_key(d2))
 
 
 def validate_dist(d: Dist) -> None:
-    """Re-check every canonical-form invariant; raises on violation."""
-    if not isinstance(d.entries, tuple) or not d.entries:
-        raise AssertionError("empty or non-tuple entries")
-    total = Fraction(0)
-    for i, (key, weight) in enumerate(d.entries):
-        outcome_tag(key)
-        if not isinstance(weight, Fraction) or weight <= 0:
-            raise AssertionError(f"bad weight {weight!r}")
-        if i > 0 and compare_outcomes(d.entries[i - 1][0], key) >= 0:
-            raise AssertionError("keys out of order")
-        total += weight
-    if total != 1:
-        raise AssertionError(f"weights sum to {total}")
+    """Re-check every canonical-form invariant; raises on violation.
+
+    Beyond the constructor's checks, every key must be an outcome.
+    """
+    d._check()
+    d.key  # raises TypeError on a key that is not an outcome
 
 
 def render_outcome(x: Outcome) -> str:
-    tag = outcome_tag(x)
-    if tag == _TAG_BOOL:
+    # a `Dist` renders as `render_dist`, a `NECSet` as its `render_inline`
+    if type(x) is bool:
         return "true" if x else "false"
-    if tag == _TAG_INT:
-        return str(x)
-    if tag == _TAG_SYMBOL:
-        return x
-    if tag == Dist.ORDER_TAG:
-        return render_dist(x)
-    return x.render_inline()
+    return str(x)
 
 
 def render_dist(d: Dist) -> str:

@@ -19,24 +19,30 @@ from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
-from .dist import Dist, compare_dist, conv_dist
+from .dist import Dist, Keyed, conv_dist
 from .prob import Prob
 
 
 @dataclass(frozen=True, eq=False)
-class NECSet:
+class NECSet(Keyed):
     """The convex hull of a non-empty finite set of distributions."""
-
-    ORDER_TAG = 4
 
     generators: Tuple[Dist, ...]
 
     def __post_init__(self) -> None:
+        self._check()
+
+    def _check(self) -> None:
+        """The sorted-generator invariants; raises ValueError on the first broken."""
         if not self.generators:
             raise ValueError("convex set must be non-empty")
         for a, b in zip(self.generators, self.generators[1:]):
-            if compare_dist(a, b) >= 0:
+            if a.key >= b.key:
                 raise ValueError("generators not strictly sorted")
+
+    @cached_property
+    def key(self) -> tuple:
+        return (4, tuple(g.key for g in self.generators))
 
     @cached_property
     def hull_form(self) -> HullForm:
@@ -47,22 +53,6 @@ class NECSet:
         """
         return HullForm(self.generators)
 
-    def compare(self, other: "NECSet") -> int:
-        return compare_necset(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NECSet):
-            return NotImplemented
-        return len(self.generators) == len(other.generators) and all(
-            a == b for a, b in zip(self.generators, other.generators)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
-
-    def __lt__(self, other: "NECSet") -> bool:
-        return compare_necset(self, other) < 0
-
     def render_inline(self) -> str:
         return "{" + "; ".join(str(d) for d in self.generators) + "}"
 
@@ -71,16 +61,6 @@ class NECSet:
 
     def __repr__(self) -> str:
         return f"NECSet({self.render_inline()})"
-
-
-def compare_necset(x: NECSet, y: NECSet) -> int:
-    for a, b in zip(x.generators, y.generators):
-        c = compare_dist(a, b)
-        if c != 0:
-            return c
-    if len(x.generators) != len(y.generators):
-        return -1 if len(x.generators) < len(y.generators) else 1
-    return 0
 
 
 def singleton_necset(d: Dist) -> NECSet:
@@ -141,11 +121,12 @@ NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(conv_necset)
 
 
 def validate_necset(x: NECSet) -> None:
-    """Re-check canonical-form invariants, including irredundancy."""
-    if not x.generators:
-        raise AssertionError("empty generator tuple")
-    for a, b in zip(x.generators, x.generators[1:]):
-        if compare_dist(a, b) >= 0:
-            raise AssertionError("generators out of order")
+    """Re-check canonical-form invariants, including irredundancy.
+
+    Irredundancy is checked here only: the constructor would pay an LP per
+    generator for it, and `from_generators`, `conv_necset` and
+    `singleton_necset` build sets that have it by construction.
+    """
+    x._check()
     if list(x.generators) != canonicalize(list(x.generators)):
-        raise AssertionError("generators not in extreme-point normal form")
+        raise ValueError("generators not in extreme-point normal form")

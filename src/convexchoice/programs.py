@@ -34,8 +34,7 @@ from .dist import (
     Dist,
     Outcome,
     from_pairs,
-    outcome_tag,
-    outcomes_equal,
+    outcome_key,
     point,
     render_dist,
     render_outcome,
@@ -464,10 +463,13 @@ def _render_raw(e: Expr) -> str:
     if isinstance(e, Ret):
         return f"ret {render_value_expr(e.value)}"
     if isinstance(e, Bind):
-        return (
-            f"do {e.var} <- {_render_at(e.bound, _LEVEL_ALT)}; "
-            f"{_render_at(e.body, _LEVEL_EXPR)}"
-        )
+        # The body spine is walked in a loop, so a long sequence does not
+        # recurse; a body never needs parentheses.
+        heads = []
+        while isinstance(e, Bind):
+            heads.append(f"do {e.var} <- {_render_at(e.bound, _LEVEL_ALT)}; ")
+            e = e.body
+        return "".join(heads) + _render_raw(e)
     if isinstance(e, (Choice, Alt)):
         # The left spine is walked in a loop, so a long chain does not
         # recurse; it ends at the first left operand that needs parentheses.
@@ -493,9 +495,6 @@ def _render_raw(e: Expr) -> str:
 
 # --- Evaluator ---------------------------------------------------------
 
-_ATOM_TAGS = {0, 1, 2}  # bool, int, symbol
-
-
 def eval_value(v: ValueExpr, env: Dict[str, Outcome]) -> Outcome:
     if isinstance(v, Lit):
         return v.value
@@ -508,15 +507,14 @@ def eval_value(v: ValueExpr, env: Dict[str, Outcome]) -> Outcome:
     if isinstance(v, Eq):
         left = eval_value(v.left, env)
         right = eval_value(v.right, env)
-        lt, rt = outcome_tag(left), outcome_tag(right)
-        if lt not in _ATOM_TAGS or rt not in _ATOM_TAGS or lt != rt:
+        if type(left) is not type(right) or type(left) not in (bool, int, str):
             raise SourceError(
                 "type",
                 v.pos[0],
                 v.pos[1],
                 f"cannot compare {render_outcome(left)} and {render_outcome(right)}",
             )
-        return outcomes_equal(left, right)
+        return left == right
     raise TypeError(f"not a value expression: {v!r}")
 
 
@@ -562,7 +560,7 @@ class _Level:
         distinct = {}
         for d in bound.generators:
             for a in d.support():
-                distinct.setdefault((outcome_tag(a), a), a)
+                distinct.setdefault(outcome_key(a), a)
         self.keys = list(distinct)
         self.values = list(distinct.values())
         self.results: List[GcmVal] = []
@@ -593,7 +591,7 @@ def _eval_do(e: Bind, env: Dict[str, Outcome]) -> GcmVal:
             continue
         stack.pop()
         table = dict(zip(level.keys, level.results))
-        value = bind_gcm(level.bound, lambda a: table[(outcome_tag(a), a)])
+        value = bind_gcm(level.bound, lambda a: table[outcome_key(a)])
         if not stack:
             return value
         stack[-1].results.append(value)
@@ -694,12 +692,11 @@ def monty(strategy: str) -> GcmVal:
 
 
 def _structured_outcome(x: Outcome):
-    tag = outcome_tag(x)
-    if tag in _ATOM_TAGS:
-        return x
-    if tag == Dist.ORDER_TAG:
+    if isinstance(x, Dist):
         return {"dist": _structured_dist(x)}
-    return {"necset": _structured_necset(x)}
+    if isinstance(x, NECSet):
+        return {"necset": _structured_necset(x)}
+    return x
 
 
 def _structured_dist(d: Dist) -> list:

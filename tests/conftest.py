@@ -39,3 +39,19 @@ functions = st.fixed_dictionaries({k: st.sampled_from(SYMBOLS) for k in SYMBOLS}
 kleislis = st.fixed_dictionaries({k: small_necsets for k in SYMBOLS})
 
 dist_kleislis = st.fixed_dictionaries({k: dists for k in SYMBOLS})
+
+
+def _dists_over(keys):
+    return st.lists(st.tuples(keys, st.integers(1, 6)), min_size=1, max_size=3).map(_normalize)
+
+
+# Every kind of outcome, nested: bools, ints (so `True` meets `1`), symbols,
+# and distributions and convex sets over any of them.
+outcomes = st.recursive(
+    st.one_of(st.booleans(), st.integers(-1, 2), st.sampled_from(SYMBOLS)),
+    lambda inner: st.one_of(
+        _dists_over(inner),
+        st.lists(_dists_over(inner), min_size=1, max_size=3).map(from_generators),
+    ),
+    max_leaves=6,
+)

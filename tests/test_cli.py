@@ -1,6 +1,12 @@
+import contextlib
 import io
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from convexchoice import __version__
 from convexchoice.cli import cli_main
@@ -173,3 +179,35 @@ def test_version(capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out.strip() == __version__
+
+
+_TOKENS = (
+    "do", "x", "y", "<-", ";", "ret", "uniform", "arbitrary", "[", "]", ",", "(", ")",
+    "==", "[~]", "<|1/2|>", "<|", "|>", "3/2", "true", "false", "0", "1", "-1", "A", "B", "#",
+)
+_VALUES = ("true", "false", "0", "1", "-1", "A", "B", "(1 == true)", "(A == A)")
+
+_values = st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3).map(", ".join)
+
+# Token soup, and well-formed programs whose `==` may meet values of two kinds.
+_sources = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=24).map(" ".join),
+    st.tuples(st.sampled_from(_VALUES), _values, _values).map(
+        lambda t: f"do x <- arbitrary {t[0]} [{t[1]}]; do y <- uniform {t[0]} [{t[2]}]; "
+        "ret (x == y)"
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sources, st.sampled_from(["text", "structured"]))
+def test_eval_is_total(source, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
+        sys, "stdin", io.StringIO(source)
+    ):
+        code = cli_main(["eval", "--format", fmt, "-"])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import bool_dists, dist_kleislis, dists, functions, probs
+from conftest import bool_dists, dist_kleislis, dists, functions, outcomes, probs
 from convexchoice.dist import (
     Dist,
     bind_dist,
@@ -11,11 +11,13 @@ from convexchoice.dist import (
     conv_dist,
     from_pairs,
     map_dist,
+    outcome_key,
     outcome_tag,
     point,
     render_dist,
     validate_dist,
 )
+from convexchoice.necset import from_generators
 from convexchoice.prob import prob_make
 
 
@@ -121,12 +123,31 @@ def test_bind_left_distributes_over_conv(p, d1, d2, k):
     assert lhs == rhs
 
 
-@given(dists, dists, dists)
+@given(outcomes, outcomes, outcomes)
 def test_compare_total_order(a, b, c):
     assert compare_dist(a, b) == -compare_dist(b, a)
-    assert (compare_dist(a, b) == 0) == (a == b)
+    assert (compare_dist(a, b) == 0) == (outcome_key(a) == outcome_key(b))
+    if type(a) is type(b):  # across kinds Python has True == 1
+        assert (compare_dist(a, b) == 0) == (a == b)
+    if a == b:
+        assert hash(a) == hash(b)
     if compare_dist(a, b) <= 0 and compare_dist(b, c) <= 0:
         assert compare_dist(a, c) <= 0
+
+
+def test_pinned_sort_of_mixed_outcomes():
+    half = d_of(("a", 1, 2), ("b", 1, 2))
+    third = d_of(("a", 1, 3), ("b", 2, 3))  # same keys as half, less weight on a
+    # Its support is a prefix of half's, but no entry list of a distribution is
+    # a strict prefix of another's (both sum to 1): the first weight decides.
+    only_a = point("a")
+    set_ab = from_generators([point("a"), point("b")])
+    set_a = from_generators([point("a")])  # its generators a strict prefix of set_ab's
+    over_sets = from_pairs([(set_ab, Fraction(1, 2)), (set_a, Fraction(1, 2))])
+    pinned = [True, False, 1, 2, "a", "b", third, half, only_a, over_sets, set_a, set_ab]
+    shuffled = [set_ab, 2, half, False, over_sets, "b", third, 1, only_a, set_a, "a", True]
+    assert sorted(shuffled, key=outcome_key) == pinned
+    assert [k for k, _ in over_sets.entries] == [set_a, set_ab]
 
 
 def test_render_canonical_order():

@@ -257,6 +257,7 @@ def test_round_trip_long_chains():
         " [~] ".join(f"ret {i % 2} <|1/3|> (ret 2 [~] ret 0)" for i in range(1200)),
         "(ret 0 [~] ret 1) <|1/2|> ret 2 <|1/4|> ret 3",
         "(do x <- ret 1; ret x) [~] ret 2 <|1/2|> ret 3 [~] ret 4",
+        "".join(f"do x{i} <- ret {i}; " for i in range(2000)) + "ret x0",
     ]
     for source in chains:
         assert render_expr(parse(source)) == source
