@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -23,6 +24,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text = _read_source(args.file)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
     try:
         value = eval_expr(parse(text))
@@ -100,8 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `cli_main` uses, built on its first call and kept.
+
+    Building the parser costs far more than parsing one command line, and
+    parsing leaves no state in it: each call gets a fresh namespace.
+    """
+    return build_parser()
+
+
 def cli_main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if not getattr(args, "stats", False):
         return args.func(args)
     stats.start()

@@ -4,8 +4,10 @@ A monadic value over a carrier A is a `NECSet` whose generators are
 distributions over A.  `ret` is the singleton point mass; `join` takes a
 set of distributions-over-sets, replaces each by its barycenter in the
 set-level convex structure, and closes under hull-of-union; `bind` is
-join after map.  Probabilistic and nondeterministic choice are the
-set-level mixture and hull-of-union operators.
+join after map.  Both compute a barycenter as one n-ary Minkowski mixture
+(`mix_necsets`) of the weighted sets, with no distribution keyed by sets
+in between.  Probabilistic and nondeterministic choice are the set-level
+mixture and hull-of-union operators.
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .convexgeom import barycenter
 from .dist import Outcome, from_pairs, map_dist, point
 from .necset import (
-    NECSET_INSTANCE,
     NECSet,
     alt_necset,
     conv_necset,
     from_generators,
     lub_necset,
+    mix_necsets,
     singleton_necset,
 )
 from .prob import Prob
@@ -42,20 +43,23 @@ def join_gcm(mm: GcmVal) -> GcmVal:
 
     Each generator of `mm` is a distribution whose keys are themselves
     monadic values; its barycenter in the set-level convex structure is a
-    set.  The join is the hull of the union of those barycenters.
+    set, computed as the mixture of its keys by their weights.  The join is
+    the hull of the union of those barycenters.
     """
-    inner = [barycenter(d, NECSET_INSTANCE) for d in mm.generators]
-    return lub_necset(inner)
+    return lub_necset([mix_necsets([(w, x) for x, w in d.entries]) for d in mm.generators])
 
 
 def bind_gcm(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
-    """join after map, without putting the mapped set in normal form first.
+    """join after map, with neither the mapped set nor its distributions built.
 
-    Barycenters are affine, so the barycenter of a mapped distribution that
-    is not extreme lies in the hull of the others' and the union's hull is
-    the same either way.  Duplicate continuation images merge in map_dist.
+    Each generator d of m gives the mixture of the images k(a) by d's weights,
+    and the result is the hull of the union of those mixtures.  Barycenters
+    are affine, so the mixture of a mapped distribution that is not extreme
+    lies in the hull of the others' and the union's hull is the same as
+    join's.  `k` is called once per entry, in the order of d's entries, and
+    equal images merge inside `mix_necsets`.
     """
-    return lub_necset([barycenter(map_dist(k, d), NECSET_INSTANCE) for d in m.generators])
+    return lub_necset([mix_necsets([(w, k(a)) for a, w in d.entries]) for d in m.generators])
 
 
 def bind_gcm_direct(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:

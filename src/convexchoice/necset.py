@@ -9,17 +9,19 @@ generator pairs (x, y) that some one direction maximizes uniquely in both
 sets.  Scaling a set by a positive factor does not change which direction
 picks which point, so the rule needs no p: the pairs are found once from
 the two generator lists (see `convexgeom.minkowski_vertices`) and only the
-kept pairs are mixed.
+kept pairs are mixed.  `mix_necsets` extends the mixture to a weighted
+family of sets, as the barycenters of bind and join need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
-from .dist import Dist, Keyed, conv_dist
+from .dist import Dist, Entry, Keyed, conv_dist, from_pairs
 from .prob import Prob
 
 
@@ -115,6 +117,37 @@ def conv_necset(p: Prob, x: NECSet, y: NECSet) -> NECSet:
     return NECSet(
         tuple(sorted(conv_dist(p, gx[i], gy[j]) for i, j in minkowski_vertices(gx, gy)))
     )
+
+
+def mix_necsets(family: Sequence[Tuple[Fraction, NECSet]]) -> NECSet:
+    """The Minkowski mixture sum w*X over `[(w, X), ...]`, whose weights sum to 1.
+
+    A one-generator set only translates the mixture, so all of those are
+    summed into one translation point in a single pass.  Equal sets merge,
+    since a*X + b*X = (a+b)*X for a convex X.  The distinct sets left are
+    folded with `conv_necset`, and the translation is mixed in last.
+    """
+    if len(family) == 1:
+        return family[0][1]
+    shift: List[Entry] = []
+    shift_mass = Fraction(0)
+    sets: Dict[NECSet, Fraction] = {}
+    for w, x in family:
+        if len(x.generators) > 1:
+            sets[x] = sets.get(x, 0) + w
+        else:
+            shift_mass += w
+            shift.extend((k, w * wk) for k, wk in x.generators[0].entries)
+    mixed, mass = None, 0
+    for x, w in sets.items():
+        mass += w
+        mixed = x if mixed is None else conv_necset(Prob(w / mass), x, mixed)
+    if not shift:
+        return mixed
+    point = from_pairs((k, w / shift_mass) for k, w in shift)
+    if mixed is None:
+        return singleton_necset(point)
+    return conv_necset(Prob(shift_mass), singleton_necset(point), mixed)
 
 
 NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(conv_necset)

@@ -73,11 +73,36 @@ def r_of(p: Prob, q: Prob) -> Prob:
     return Prob(p.value / s)
 
 
+# Digits per chunk of `_decimal`: below 640, the least non-zero value that
+# `sys.set_int_max_str_digits` accepts, so every chunk converts with `str`.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """`str(n)`, also past the interpreter's int-to-str digit limit.
+
+    The limit is process-wide, so it is not raised here; a longer integer is
+    cut into base-10**600 chunks that each convert on their own.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(low)
+    top = str(chunks.pop())
+    return sign + top + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks))
+
+
 def render_rational(x: Fraction) -> str:
     """`a/b` in lowest terms, `a` alone when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

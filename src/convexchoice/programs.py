@@ -26,6 +26,7 @@ must be bound by an enclosing ``do``; this is checked at parse time.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -265,6 +266,16 @@ class _Parser:
         tok = self.peek()
         return SourceError("syntax", tok.pos[0], tok.pos[1], msg)
 
+    @staticmethod
+    def integer(tok: _Token) -> int:
+        # int() refuses more digits than the interpreter's conversion limit
+        try:
+            return int(tok.text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            msg = f"integer literal of {len(tok.text)} digits, over the limit of {limit}"
+            raise SourceError("syntax", tok.pos[0], tok.pos[1], msg) from None
+
     def open_paren(self) -> None:
         if self.depth == MAX_PAREN_DEPTH:
             raise self.err(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
@@ -311,12 +322,12 @@ class _Parser:
 
     def parse_prob(self) -> Prob:
         tok = self.expect("INT", "a probability")
-        num = int(tok.text)
+        num = self.integer(tok)
         den = 1
         if self.peek().kind == "SLASH":
             self.next()
             den_tok = self.expect("INT", "a denominator")
-            den = int(den_tok.text)
+            den = self.integer(den_tok)
         try:
             return prob_make(num, den)
         except ProbError as exc:
@@ -357,7 +368,7 @@ class _Parser:
             return Lit(False, pos=tok.pos)
         if tok.kind == "INT":
             self.next()
-            return Lit(int(tok.text), pos=tok.pos)
+            return Lit(self.integer(tok), pos=tok.pos)
         if tok.kind == "SYMBOL":
             self.next()
             return Lit(tok.text, pos=tok.pos)

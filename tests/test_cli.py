@@ -3,12 +3,14 @@ import io
 import sys
 from fractions import Fraction
 from pathlib import Path
+import time
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from convexchoice import __version__
+from convexchoice import __version__, cli
 from convexchoice.cli import cli_main
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -50,6 +52,59 @@ def test_eval_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.choice"
+    path.write_bytes(b"ret \xff")
+    code = cli_main(["eval", str(path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+
+def test_eval_weight_past_digit_limit(capsys, monkeypatch):
+    # the weights have 8001 digits, past the interpreter's int-to-str limit
+    n = 10**4000
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"(ret 1 <|1/{n}|> ret 2) <|1/{n}|> ret 3"))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    big = "1" + "0" * 8000  # n * n
+    nines = "9" * 4000  # n - 1
+    assert out.out == f"{{1: 1/{big}, 2: {nines}/{big}, 3: {nines}/1{'0' * 4000}}}\n"
+
+
+def test_cli_main_builds_one_parser(capsys, monkeypatch):
+    corpus = str(CORPUS / "coinarb.choice")
+    text = "{true: 1}\n{false: 1}\n"
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    # no option of one call carries over to the next
+    assert cli_main(["eval", "--stats", corpus]) == 0
+    assert capsys.readouterr().err.startswith("stats: ")
+    assert cli_main(["eval", corpus]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert cli_main(["eval", "--format", "structured", corpus]) == 0
+    assert capsys.readouterr().out == '[[[true,"1"]],[[false,"1"]]]\n'
+    assert cli_main(["eval", corpus]) == 0
+    assert capsys.readouterr() == (text, "")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["eval"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli_main(["eval", corpus]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert len(builds) == 1
+    assert build() is not build()
+
+
 def test_check_laws_single(capsys):
     code = cli_main(["check-laws", "--trials", "5", "--seed", "7", "--law", "choice0"])
     out = capsys.readouterr()
@@ -80,6 +135,20 @@ def test_eval_wide_uniform(capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == 0
     assert out.out == "{" + ", ".join(f"{i}: 1/{n}" for i in range(n)) + "}\n"
+
+
+def test_eval_wide_bind(capsys, monkeypatch):
+    # a bind over 1500 distinct values mixes its 1500 point images in one pass
+    n = 1500
+    values = ", ".join(str(i) for i in range(n))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"do x <- uniform 0 [{values}]; ret x"))
+    start = time.perf_counter()
+    code = cli_main(["eval", "-"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == "{" + ", ".join(f"{i}: 1/{n}" for i in range(n)) + "}\n"
+    assert elapsed < 1.0
 
 
 def test_eval_deep_parentheses(capsys, monkeypatch):

@@ -6,7 +6,10 @@ Each reference below is the plain definition, kept only here:
   keeps; the reference mixes every pair and puts the products in normal form.
 - `conv_dist` merges two sorted entry lists; the reference re-canonicalizes
   the scaled entries with `from_pairs`.
-- `bind_gcm` takes the hull of the barycenters of all mapped generators; the
+- `mix_necsets` sums point images into one translation, merges equal sets
+  and folds the rest; the reference is the barycenter of the distribution
+  over sets that `map_dist` builds, folded by `convn`.
+- `bind_gcm` takes the hull of the mixtures of all mapped generators; the
   references are `join_gcm` of the mapped set in normal form, and
   `bind_gcm_direct`.
 """
@@ -15,10 +18,16 @@ import random
 from fractions import Fraction
 
 from convexchoice import stats
-from convexchoice.convexgeom import minkowski_vertices
+from convexchoice.convexgeom import barycenter, minkowski_vertices
 from convexchoice.dist import Dist, conv_dist, from_pairs, map_dist, point
 from convexchoice.gcm import bind_gcm, bind_gcm_direct, join_gcm
-from convexchoice.necset import conv_necset, from_generators, singleton_necset
+from convexchoice.necset import (
+    NECSET_INSTANCE,
+    conv_necset,
+    from_generators,
+    mix_necsets,
+    singleton_necset,
+)
 from convexchoice.prob import Prob
 
 ATOMS = [True, False, 0, 1, 2, "a", "b"]
@@ -163,12 +172,22 @@ def test_conv_dist_matches_from_pairs():
         assert got.entries == _conv_dist_ref(p, d1, d2).entries
 
 
+def _image(rng, points):
+    if points:
+        return singleton_necset(_random_dist(rng, ATOMS + NESTED))
+    while True:
+        x = _random_set(rng, ATOMS + NESTED, 4)
+        if len(x.generators) > 1:
+            return x
+
+
 def test_bind_matches_join_of_normal_form_and_direct():
     rng = random.Random(23)
     keys = [True, 1, "a", "b"]
     for _ in range(80):
         m = _random_set(rng, keys, 3)
-        table = {(type(k), k): _random_set(rng, keys, 2) for k in keys}
+        # point images and sets of 2-4 generators, over nested outcomes too
+        table = {(type(k), k): _image(rng, rng.random() < 0.5) for k in keys}
 
         def k(a):
             return table[(type(a), a)]
@@ -177,6 +196,31 @@ def test_bind_matches_join_of_normal_form_and_direct():
         got = bind_gcm(m, k)
         assert got == want, (m, table)
         assert got == bind_gcm_direct(m, k), (m, table)
+
+
+def test_mix_necsets_matches_barycenter_of_mapped_dist():
+    rng = random.Random(25)
+    for kind in ("points", "sets", "mixed"):
+        for n in range(1, 6):
+            for rep in range(8):
+                # a pool smaller than the support repeats images
+                pool = [
+                    _image(rng, kind == "points" or (kind == "mixed" and i % 2 == 0))
+                    for i in range(1 + rep % n)
+                ]
+                images = [pool[rng.randrange(len(pool))] for _ in range(n)]
+                if n == 2 and rep % 2 == 0:
+                    weights = [Fraction(1, 1000), Fraction(999, 1000)]
+                else:
+                    raw = [rng.randint(1, 5) for _ in range(n)]
+                    weights = [Fraction(r, sum(raw)) for r in raw]
+                d = from_pairs(zip(range(n), weights))
+                want = barycenter(map_dist(images.__getitem__, d), NECSET_INSTANCE)
+                got = mix_necsets([(w, images[a]) for a, w in d.entries])
+                assert got.generators == want.generators, (kind, images, weights)
+    x = _image(rng, False)
+    assert mix_necsets([(Fraction(1), x)]) is x
+    assert mix_necsets([(Fraction(1, 3), x), (Fraction(2, 3), x)]) is x
 
 
 def test_equal_dists_hash_equal_by_every_route():

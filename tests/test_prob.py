@@ -88,6 +88,10 @@ def test_render_rational():
     assert render_rational(Fraction(1, 2)) == "1/2"
     assert render_rational(Fraction(3)) == "3"
     assert render_rational(Fraction(0)) == "0"
+    # past the interpreter's int-to-str digit limit, in chunks that each convert
+    assert render_rational(Fraction(1, 10**8000)) == "1/1" + "0" * 8000
+    big = int("987654321" * 300) * (10**2700 + 1)  # its 2700 digits, twice
+    assert render_rational(Fraction(-big, 32)) == "-" + "987654321" * 600 + "/32"
 
 
 def test_parse_rational_forms():

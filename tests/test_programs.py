@@ -70,6 +70,17 @@ def test_parse_probability_out_of_range():
     assert exc.value.kind == "syntax"
 
 
+def test_parse_overlong_integer_literals():
+    # past the interpreter's int() digit limit: a positioned error at each literal site
+    digits = "1" * 5000
+    for source in [f"ret {digits}", f"ret 1 <|{digits}/2|> ret 2", f"ret 1 <|1/{digits}|> ret 2"]:
+        with pytest.raises(SourceError) as exc:
+            parse(source)
+        assert exc.value.kind == "syntax"
+        assert (exc.value.line, exc.value.column) == (1, source.index(digits) + 1)
+        assert "5000 digits" in exc.value.message
+
+
 def test_parse_syntax_error_position():
     with pytest.raises(SourceError) as exc:
         parse("do c <- ;\nret c")
