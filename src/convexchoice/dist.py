@@ -45,11 +45,6 @@ def outcome_key(x: Outcome) -> tuple:
     return key_of(x)
 
 
-def outcome_tag(x: Outcome) -> int:
-    """The kind of an outcome, the first entry of its key: bool 0 ... NECSet 4."""
-    return outcome_key(x)[0]
-
-
 class Keyed:
     """Equality, hashing and `<` of a nested value, all read from its `key`.
 

@@ -184,21 +184,6 @@ def gen_kleisli(
     }
 
 
-def gen_instance(kind: str, config: GenConfig, rng: Rng):
-    """Public dispatcher over the instance generators."""
-    if kind == "prob":
-        return gen_prob(rng, config)
-    if kind == "dist":
-        return gen_dist(rng, config)
-    if kind == "gcm":
-        return gen_gcm(rng, config)
-    if kind == "function":
-        return gen_function(rng, config)
-    if kind == "kleisli":
-        return gen_kleisli(rng, config)
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
 def _gen_nested(rng: Rng, cfg: GenConfig) -> GcmVal:
     """A monadic value whose outcome carrier is itself monadic values."""
     pool = [

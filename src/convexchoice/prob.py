@@ -21,12 +21,14 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True, order=True)
 class Prob:
-    """A probability: an exact rational in [0, 1]."""
+    """A probability: an exact rational in [0, 1], given as a Fraction or an int."""
 
     value: Fraction
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
+            if not isinstance(self.value, int) or isinstance(self.value, bool):
+                raise ProbError(f"not an exact rational: {self.value!r}")
             object.__setattr__(self, "value", Fraction(self.value))
         if self.value < 0 or self.value > 1:
             raise ProbError(f"probability out of range: {self.value}")

@@ -16,20 +16,27 @@ Grammar
                  | '(' value '==' value ')'
     value-list  := ( value (',' value)* )?
     PROB        := INT ( '/' INT )?                       -- must lie in [0, 1]
+    INT         := '-'? [0-9]+                            -- ASCII digits only
 
 Symbols are identifiers starting with an uppercase letter (the Monty Hall
 doors are ``A``, ``B``, ``C``); variables start with a lowercase letter.
 A nested binder on the left of ``<-`` needs parentheses.  Every variable
-must be bound by an enclosing ``do``; this is checked at parse time.
+must be bound by an enclosing ``do``, and the parser checks this as it reads:
+a binder's variable is in scope in the rest of its ``do`` sequence, not in
+its own bound expression.  Errors come in a fixed order: an unexpected
+character first, then a syntax error, then the first unbound variable in
+source order.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .dist import (
     Dist,
@@ -143,99 +150,54 @@ KEYWORDS = {"ret", "do", "uniform", "arbitrary", "true", "false"}
 # --- Tokenizer ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: Pos
 
 
+_OPERATORS = {
+    "[~]": "ALT", "<|": "LCHOICE", "|>": "RCHOICE", "<-": "ARROW", "==": "EQEQ",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
+    ",": "COMMA", ";": "SEMI", "/": "SLASH",
+}
+
+# After any blanks: a newline, an integer, a word, an operator (longest
+# first), the end of the text, or else the one character that starts none.
+# `\w` is exactly `str.isalnum()` or `_`, and a word must start with
+# `isalpha()` or `_`, so a non-ASCII digit or numeral is a bad character.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<NL>\n)|(?P<INT>-?[0-9]+)|(?P<WORD>\w+)|(?P<OP>"
+    + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    + r")|(?P<EOF>\Z)|(?P<BAD>.))",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> List[_Token]:
-    toks: List[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def err(msg: str) -> SourceError:
-        return SourceError("syntax", line, col, msg)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    toks = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start = (line, col)
-        two = text[i : i + 2]
-        three = text[i : i + 3]
-        if three == "[~]":
-            toks.append(_Token("ALT", three, start))
-            i += 3
-            col += 3
-            continue
-        if two == "<|":
-            toks.append(_Token("LCHOICE", two, start))
-            i += 2
-            col += 2
-            continue
-        if two == "|>":
-            toks.append(_Token("RCHOICE", two, start))
-            i += 2
-            col += 2
-            continue
-        if two == "<-":
-            toks.append(_Token("ARROW", two, start))
-            i += 2
-            col += 2
-            continue
-        if two == "==":
-            toks.append(_Token("EQEQ", two, start))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[],;/":
-            kind = {
-                "(": "LPAREN",
-                ")": "RPAREN",
-                "[": "LBRACKET",
-                "]": "RBRACKET",
-                ",": "COMMA",
-                ";": "SEMI",
-                "/": "SLASH",
-            }[ch]
-            toks.append(_Token(kind, ch, start))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
+        word = m[kind]
+        pos = (line, m.start(kind) - line_start + 1)
+        if kind == "WORD":
+            if not (word[0].isalpha() or word[0] == "_"):
+                word, kind = word[0], "BAD"
+            elif word in KEYWORDS:
                 kind = word.upper()
-            elif word[0].isupper():
-                kind = "SYMBOL"
             else:
-                kind = "VAR"
-            toks.append(_Token(kind, word, start))
-            col += j - i
-            i = j
-            continue
-        raise err(f"unexpected character {ch!r}")
-    toks.append(_Token("EOF", "", (line, col)))
+                kind = "SYMBOL" if word[0].isupper() else "VAR"
+        elif kind == "OP":
+            kind = _OPERATORS[word]
+        if kind == "BAD":
+            raise SourceError("syntax", *pos, f"unexpected character {word!r}")
+        toks.append(_Token(kind, word, pos))
+        if kind == "EOF":
+            break
     return toks
 
 
@@ -247,6 +209,8 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.depth = 0
+        self.scope: Counter[str] = Counter()  # name -> enclosing binders of it
+        self.unbound: Optional[SourceError] = None  # the first, in source order
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -288,18 +252,22 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         # A `do` sequence is read in a loop and its binders are nested from the
-        # last one back, so a long sequence does not recurse.
+        # last one back, so a long sequence does not recurse.  Each variable is
+        # in scope from the end of its bound expression to the end of this one.
         heads = []
+        scope = self.scope
         while self.peek().kind == "DO":
             tok = self.next()
-            var = self.expect("VAR", "a variable name")
+            var = self.expect("VAR", "a variable name").text
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
-            heads.append((var.text, bound, tok.pos))
+            scope[var] += 1
+            heads.append((var, bound, tok.pos))
         expr = self.parse_alt()
         for var, bound, pos in reversed(heads):
             expr = Bind(var, bound, expr, pos=pos)
+            scope[var] -= 1
         return expr
 
     def parse_alt(self) -> Expr:
@@ -374,6 +342,9 @@ class _Parser:
             return Lit(tok.text, pos=tok.pos)
         if tok.kind == "VAR":
             self.next()
+            if self.unbound is None and not self.scope[tok.text]:
+                msg = f"unbound variable {tok.text!r}"
+                self.unbound = SourceError("unbound-variable", *tok.pos, msg)
             return Var(tok.text, pos=tok.pos)
         if tok.kind == "LPAREN":
             self.open_paren()
@@ -386,44 +357,6 @@ class _Parser:
         raise self.err(f"expected a value, found {tok.text or 'end of input'!r}")
 
 
-def _check_scope(e: Expr, bound: frozenset) -> None:
-    # A `do` sequence and the left spine of a choice chain are walked in
-    # loops, so neither recurses when long; the right operands of a chain are
-    # then checked left to right.
-    while isinstance(e, Bind):
-        _check_scope(e.bound, bound)
-        bound = bound | {e.var}
-        e = e.body
-    rights = []
-    while isinstance(e, (Choice, Alt)):
-        rights.append(e.right)
-        e = e.left
-    if isinstance(e, Ret):
-        _check_value_scope(e.value, bound)
-    elif isinstance(e, Bind):
-        _check_scope(e.bound, bound)
-        _check_scope(e.body, bound | {e.var})
-    elif isinstance(e, (Uniform, Arbitrary)):
-        _check_value_scope(e.default, bound)
-        for item in e.items:
-            _check_value_scope(item, bound)
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    for right in reversed(rights):
-        _check_scope(right, bound)
-
-
-def _check_value_scope(v: ValueExpr, bound: frozenset) -> None:
-    if isinstance(v, Var):
-        if v.name not in bound:
-            raise SourceError(
-                "unbound-variable", v.pos[0], v.pos[1], f"unbound variable {v.name!r}"
-            )
-    elif isinstance(v, Eq):
-        _check_value_scope(v.left, bound)
-        _check_value_scope(v.right, bound)
-
-
 def parse(text: str) -> Expr:
     """Parse a program; raises SourceError with a position on failure."""
     parser = _Parser(_tokenize(text))
@@ -431,7 +364,8 @@ def parse(text: str) -> Expr:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise parser.err(f"unexpected trailing input {tok.text!r}")
-    _check_scope(expr, frozenset())
+    if parser.unbound is not None:
+        raise parser.unbound
     return expr
 
 

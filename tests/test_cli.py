@@ -151,6 +151,16 @@ def test_eval_wide_bind(capsys, monkeypatch):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\u2163"])
+def test_eval_non_ascii_digit(capsys, monkeypatch, digit):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"ret {digit}"))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"error: line 1, col 5: syntax: unexpected character {digit!r}\n"
+
+
 def test_eval_deep_parentheses(capsys, monkeypatch):
     # expression and value parentheses; the error points at the 101st '('
     for source, col in [("(" * 3000 + "ret 1" + ")" * 3000, 101),

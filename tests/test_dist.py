@@ -12,7 +12,6 @@ from convexchoice.dist import (
     from_pairs,
     map_dist,
     outcome_key,
-    outcome_tag,
     point,
     render_dist,
     validate_dist,
@@ -36,7 +35,7 @@ def test_bool_and_int_keys_stay_distinct():
     d = from_pairs([(True, Fraction(1, 2)), (1, Fraction(1, 2))])
     assert len(d.entries) == 2
     assert point(True) != point(1)
-    assert outcome_tag(True) != outcome_tag(1)
+    assert outcome_key(True)[0] != outcome_key(1)[0]
 
 
 def test_invalid_dists_rejected():
@@ -172,4 +171,4 @@ def test_nested_keys_are_ordered():
     mixed = from_pairs(
         [(True, Fraction(1, 4)), (2, Fraction(1, 4)), ("z", Fraction(1, 4)), (inner1, Fraction(1, 4))]
     )
-    assert [outcome_tag(k) for k in mixed.support()] == [0, 1, 2, 3]
+    assert [outcome_key(k)[0] for k in mixed.support()] == [0, 1, 2, 3]

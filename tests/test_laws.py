@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from convexchoice.dist import validate_dist
@@ -9,7 +7,11 @@ from convexchoice.laws import (
     REGISTRY,
     check_all,
     check_law,
-    gen_instance,
+    gen_dist,
+    gen_function,
+    gen_gcm,
+    gen_kleisli,
+    gen_prob,
     law_names,
     render_report,
     run_trial,
@@ -51,37 +53,32 @@ def test_config_validation():
 
 def test_gen_determinism():
     cfg = GenConfig(trials=1, seed=9)
-    for kind in ("prob", "dist", "gcm", "function", "kleisli"):
-        a = gen_instance(kind, cfg, trial_rng(9, "x", 0))
-        b = gen_instance(kind, cfg, trial_rng(9, "x", 0))
+    for gen in (gen_prob, gen_dist, gen_gcm, gen_function, gen_kleisli):
+        a = gen(trial_rng(9, "x", 0), cfg)
+        b = gen(trial_rng(9, "x", 0), cfg)
         assert a == b
-
-
-def test_gen_unknown_kind():
-    with pytest.raises(ValueError):
-        gen_instance("matrix", FAST, random.Random(0))
 
 
 def test_degenerate_carrier():
     cfg = GenConfig(carrier_size=1, trials=1)
     for i in range(50):
-        d = gen_instance("dist", cfg, trial_rng(0, "deg", i))
+        d = gen_dist(trial_rng(0, "deg", i), cfg)
         assert d == point("a")
 
 
 def test_generated_dists_validate():
     cfg = GenConfig(trials=1, seed=5)
     for i in range(1000):
-        validate_dist(gen_instance("dist", cfg, trial_rng(5, "valid", i)))
+        validate_dist(gen_dist(trial_rng(5, "valid", i), cfg))
 
 
 def test_bounds_respected():
     cfg = GenConfig(carrier_size=3, max_support=2, max_generators=2, max_denominator=7, trials=1)
     for i in range(200):
-        d = gen_instance("dist", cfg, trial_rng(1, "bounds", i))
+        d = gen_dist(trial_rng(1, "bounds", i), cfg)
         assert len(d.entries) <= 2
         assert all(w.denominator <= 7 for _, w in d.entries)
-        m = gen_instance("gcm", cfg, trial_rng(1, "bounds2", i))
+        m = gen_gcm(trial_rng(1, "bounds2", i), cfg)
         assert len(m.generators) <= 2
 
 

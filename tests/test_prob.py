@@ -5,6 +5,7 @@ from hypothesis import given
 
 from conftest import probs
 from convexchoice.prob import (
+    Prob,
     ProbError,
     complement,
     parse_prob,
@@ -30,6 +31,13 @@ def test_prob_make_errors():
         prob_make(-1, 3)
     with pytest.raises(ProbError):
         prob_make(1, 0)
+
+
+def test_prob_takes_exact_rationals_only():
+    assert Prob(1) == Prob(Fraction(1)) == prob_make(1, 1)
+    for value in (0.1, "1/3", True, None, 1.0):
+        with pytest.raises(ProbError):
+            Prob(value)
 
 
 def test_complement_examples():

@@ -31,6 +31,7 @@ from convexchoice.programs import (
     render_expr,
     run,
     uniform,
+    _tokenize,
 )
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -62,6 +63,46 @@ def test_parse_unbound_variable():
     with pytest.raises(SourceError) as exc:
         parse(source)
     assert (exc.value.line, exc.value.column) == (1, source.index("x") + 1)
+
+
+def _error_of(source):
+    with pytest.raises(SourceError) as exc:
+        parse(source)
+    return exc.value
+
+
+def test_scope_ends_at_close_paren():
+    source = "(do x <- ret 1; ret x) [~] ret x"
+    err = _error_of(source)
+    assert err.kind == "unbound-variable"
+    assert (err.line, err.column) == (1, source.rindex("x") + 1)
+
+
+def test_bound_expression_does_not_see_its_variable():
+    err = _error_of("do x <- ret x; ret x")
+    assert (err.kind, err.line, err.column) == ("unbound-variable", 1, 13)
+
+
+def test_syntax_error_beats_earlier_unbound_variable():
+    err = _error_of("ret x <|1/2|> (")
+    assert (err.kind, err.line, err.column) == ("syntax", 1, 16)
+    # also trailing input, which is found only after the whole expression
+    err = _error_of("ret x )")
+    assert (err.kind, err.line, err.column) == ("syntax", 1, 7)
+
+
+def test_unbound_default_comes_before_items():
+    err = _error_of("uniform a [b]")
+    assert (err.kind, err.line, err.column) == ("unbound-variable", 1, 9)
+    assert err.message == "unbound variable 'a'"
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\u2163"])
+def test_integers_are_ascii_digits(digit):
+    # superscript two, Arabic-Indic three, Roman numeral four
+    err = _error_of(f"ret {digit}")
+    assert (err.kind, err.line, err.column) == ("syntax", 1, 5)
+    assert err.message == f"unexpected character {digit!r}"
 
 
 def test_parse_probability_out_of_range():
@@ -272,6 +313,32 @@ def test_round_trip_long_chains():
     ]
     for source in chains:
         assert render_expr(parse(source)) == source
+
+
+_BLANKS = [" ", "\t", "\n", "\r", "  \t", "\r\n", "\n\t\n "]
+
+
+def _assert_positions(text):
+    lines = text.split("\n")
+    toks = _tokenize(text)
+    for tok in toks:
+        line, col = tok.pos
+        assert lines[line - 1][col - 1 :].startswith(tok.text), (text, tok)
+    assert toks[-1].kind == "EOF"
+    assert toks[-1].pos == (len(lines), len(lines[-1]) + 1)
+    return toks
+
+
+def test_token_positions():
+    rng = random.Random(31)
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.choice"))]
+    sources += [render_expr(_gen_expr(rng, frozenset(), rng.randint(0, 3))) for _ in range(100)]
+    for source in sources:
+        toks = _assert_positions(source)
+        # the same tokens with random blanks, tabs and newlines between them
+        spaced = "".join(rng.choice(_BLANKS) + tok.text for tok in toks)
+        respaced = _assert_positions(spaced)
+        assert [(t.kind, t.text) for t in respaced] == [(t.kind, t.text) for t in toks]
 
 
 def test_round_trip_random_asts():
