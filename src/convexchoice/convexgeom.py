@@ -3,8 +3,10 @@
 All membership work reads one integer form of a generator list (`HullForm`): an
 index of the supported outcomes and one column of integer weights per
 generator.  A membership query maps the point into that index and answers
-False at once when the point has weight on an outcome no generator has, True
-at once when its row equals a generator's column, and otherwise runs a
+with no LP in three cases: False when the point has weight on an outcome no
+generator has, True when its row equals a generator's column, and False when
+one of its weights lies outside the range that coordinate spans over the
+generators (kept once per form, compared as integers).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
 presolve, no artificial columns, the largest reduced cost until the first
 degenerate pivot and Bland's rule after it, so it terminates, and an early
@@ -19,6 +21,9 @@ generator pair; it backs probabilistic choice on sets.
 A brute-force Caratheodory enumeration (`in_hull_oracle`) serves as an
 independent oracle for the same question: it shares no code with the form or
 the simplex.  The two must agree and the test suite checks that they do.
+
+`canonicalize` keeps a list of distinct point masses as it is: they are
+vertices of the simplex, so no hull work is needed to find them extreme.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, conv_dist, from_pairs, outcome_key
+from .dist import Dist, Outcome, cached_attr, conv_dist, from_pairs, outcome_key
 from .prob import Prob
 
 C = TypeVar("C")
@@ -124,31 +128,53 @@ class HullForm:
     """The integer form of a generator list, read by every hull query on it.
 
     `index` numbers the supported outcomes; `columns` holds each generator's
-    `_int_coords`, and `column_set` the same tuples for lookup.  The columns
-    are built on first use, so `canonicalize` pays for them only when some
-    point needs an LP.  Nothing is changed after it is built, so a form can
-    serve any number of queries.
+    `_int_coords`, `column_set` the same tuples for lookup, and `ranges` the
+    span of each coordinate over the generators.  All three are built on
+    first use, so `canonicalize` pays only for the columns, and only when
+    some point needs an LP.  Nothing is changed after it is built, so a form
+    can serve any number of queries.
     """
 
     def __init__(self, generators: Sequence[Dist]) -> None:
         self.generators = generators
         self.index = _coordinate_index(generators)
 
-    @cached_property
+    @cached_attr
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(_int_coords(g, self.index) for g in self.generators)
 
-    @cached_property
+    @cached_attr
     def column_set(self) -> FrozenSet[Tuple[int, ...]]:
         return frozenset(self.columns)
 
+    @cached_attr
+    def ranges(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """`(scale, low, high)`: each coordinate's least and greatest weight, times `scale`.
+
+        A column sums to its own scale, so over the common multiple `scale`
+        of those sums every weight is an integer and the extremes are exact.
+        """
+        columns = self.columns
+        sums = [sum(col) for col in columns]
+        scale = math.lcm(*sums)
+        scaled = [[v * (scale // s) for v in col] for col, s in zip(columns, sums)]
+        by_coordinate = list(zip(*scaled))
+        return scale, tuple(map(min, by_coordinate)), tuple(map(max, by_coordinate))
+
     def contains(self, x: Dist) -> bool:
-        """Exact test for x in the hull, with an LP only when neither shortcut answers."""
+        """Exact test for x in the hull, with an LP only when no shortcut answers."""
         row = _int_coords(x, self.index)
         if row is None:
             return False  # weight where every generator has none
         if row in self.column_set:
             return True  # x is a generator
+        # A mixture keeps every weight inside the range the generators span;
+        # x's weights are row / sum(row), compared by cross-multiplication.
+        scale, low, high = self.ranges
+        total = sum(row)
+        for v, lo, hi in zip(row, low, high):
+            if not lo * total <= v * scale <= hi * total:
+                return False
         # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
         # coordinate rows and needs no row of its own.
         return _simplex_feasible(self.columns, row)
@@ -397,12 +423,15 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     point owning a support key no other generator has, and every pair of
     distinct points.  The remaining points each get one exact LP over the
     generators still alive; all of them are put in integer coordinates once.
+    When every distinct generator is a point mass, as the values of `ret`
+    and `arbitrary` are, they sit on distinct vertices of the simplex, so
+    all of them are kept with no integer form built at all.
     """
     if not generators:
         raise ValueError("empty generator list")
     unique = sorted(set(generators))
     n = len(unique)
-    if n <= 2:
+    if n <= 2 or all(len(g.entries) == 1 for g in unique):
         return unique
     form = HullForm(unique)
     index = form.index

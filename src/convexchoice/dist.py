@@ -13,6 +13,9 @@ A `Dist` is stored canonically as a tuple of (key, weight) entries with
 keys strictly increasing, weights strictly positive, and weights summing
 exactly to 1.  Equality, hashing and order are all read from the key of
 this canonical form, so two equal distributions are structurally identical.
+Every construction checks those invariants; a one-entry distribution, as
+every `point` is, needs only two integer comparisons for it.  Keys and
+hashes are computed once per value and stored on it by `cached_attr`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Tuple
 
@@ -35,6 +37,30 @@ _KEY_OF_TYPE: Dict[type, Callable[[Outcome], tuple]] = {
     int: lambda x: (1, x),
     str: lambda x: (2, x),
 }
+
+
+class cached_attr:
+    """A computed attribute, stored in the instance `__dict__` on its first read.
+
+    Like `functools.cached_property` but with no lock: Python 3.11's takes an
+    RLock on every first read, and this package runs on one thread.  It
+    defines no `__set__`, so the stored value shadows it from then on; that
+    also works on frozen dataclasses, whose `__setattr__` it never calls.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def outcome_key(x: Outcome) -> tuple:
@@ -66,7 +92,7 @@ class Keyed:
     def __lt__(self, other: "Keyed") -> bool:
         return self.key < other.key
 
-    @cached_property
+    @cached_attr
     def _hash(self) -> int:
         return hash(self.key)
 
@@ -88,10 +114,16 @@ class Dist(Keyed):
 
         The key of a one-entry distribution is not read, so `barycenter` can
         take point masses on values that are not outcomes, such as rationals.
+        One entry is valid exactly when its weight is the `Fraction` 1, which
+        two integer comparisons settle; any other input gets the full check.
         """
         entries = self.entries
         if type(entries) is not tuple or not entries:
             raise ValueError("distribution must have non-empty support")
+        if len(entries) == 1:
+            _, weight = entries[0]
+            if type(weight) is Fraction and weight.numerator == weight.denominator == 1:
+                return
         for key, weight in entries:
             # a denominator is always positive
             if not isinstance(weight, Fraction) or weight.numerator <= 0:
@@ -106,7 +138,7 @@ class Dist(Keyed):
         if total != scale:
             raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
 
-    @cached_property
+    @cached_attr
     def key(self) -> tuple:
         return (3, tuple((outcome_key(k), w) for k, w in self.entries))
 
@@ -146,9 +178,12 @@ def from_pairs(pairs: Iterable[Entry]) -> Dist:
     return Dist(tuple(entry for _, entry in sorted(acc.items())))
 
 
+_ONE = Fraction(1)
+
+
 def point(key: Outcome) -> Dist:
     """The point-supported distribution: all mass on one outcome."""
-    return Dist(((key, Fraction(1)),))
+    return Dist(((key, _ONE),))
 
 
 def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
-from .dist import Dist, Entry, Keyed, conv_dist, from_pairs
+from .dist import Dist, Entry, Keyed, cached_attr, conv_dist, from_pairs
 from .prob import Prob
 
 
@@ -42,11 +41,11 @@ class NECSet(Keyed):
             if a.key >= b.key:
                 raise ValueError("generators not strictly sorted")
 
-    @cached_property
+    @cached_attr
     def key(self) -> tuple:
         return (4, tuple(g.key for g in self.generators))
 
-    @cached_property
+    @cached_attr
     def hull_form(self) -> HullForm:
         """The integer form of the generators, built on the first `member` query.
 

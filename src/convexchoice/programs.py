@@ -57,6 +57,9 @@ Pos = Tuple[int, int]
 # the parser four stack frames, so a fixed limit well inside the interpreter's
 # recursion limit lets deep input end in a positioned error.
 MAX_PAREN_DEPTH = 100
+# Characters of an offending token that an error message quotes, so one long
+# word or integer cannot make the one-line message as long as the input.
+QUOTE_LIMIT = 40
 
 
 @dataclass
@@ -204,6 +207,13 @@ def _tokenize(text: str) -> List[_Token]:
 # --- Parser ------------------------------------------------------------
 
 
+def _quote(text: str) -> str:
+    """`text` quoted for an error message, cut to QUOTE_LIMIT characters."""
+    if len(text) > QUOTE_LIMIT:
+        text = text[:QUOTE_LIMIT] + "..."
+    return repr(text)
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token]) -> None:
         self.toks = tokens
@@ -223,7 +233,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.err(f"expected {what}, found {tok.text or 'end of input'!r}")
+            raise self.err(f"expected {what}, found {_quote(tok.text or 'end of input')}")
         return self.next()
 
     def err(self, msg: str) -> SourceError:
@@ -324,7 +334,7 @@ class _Parser:
             inner = self.parse_expr()
             self.close_paren()
             return inner
-        raise self.err(f"expected an expression, found {tok.text or 'end of input'!r}")
+        raise self.err(f"expected an expression, found {_quote(tok.text or 'end of input')}")
 
     def parse_value(self) -> ValueExpr:
         tok = self.peek()
@@ -343,7 +353,7 @@ class _Parser:
         if tok.kind == "VAR":
             self.next()
             if self.unbound is None and not self.scope[tok.text]:
-                msg = f"unbound variable {tok.text!r}"
+                msg = f"unbound variable {_quote(tok.text)}"
                 self.unbound = SourceError("unbound-variable", *tok.pos, msg)
             return Var(tok.text, pos=tok.pos)
         if tok.kind == "LPAREN":
@@ -354,7 +364,7 @@ class _Parser:
                 left = Eq(left, self.parse_value(), pos=tok.pos)
             self.close_paren()
             return left
-        raise self.err(f"expected a value, found {tok.text or 'end of input'!r}")
+        raise self.err(f"expected a value, found {_quote(tok.text or 'end of input')}")
 
 
 def parse(text: str) -> Expr:
@@ -363,7 +373,7 @@ def parse(text: str) -> Expr:
     expr = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "EOF":
-        raise parser.err(f"unexpected trailing input {tok.text!r}")
+        raise parser.err(f"unexpected trailing input {_quote(tok.text)}")
     if parser.unbound is not None:
         raise parser.unbound
     return expr

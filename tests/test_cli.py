@@ -161,6 +161,16 @@ def test_eval_non_ascii_digit(capsys, monkeypatch, digit):
     assert out.err == f"error: line 1, col 5: syntax: unexpected character {digit!r}\n"
 
 
+def test_eval_long_token_error_is_one_short_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x" * 10**6))
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: line 1, col 1: ") and out.err.count("\n") == 1
+    assert len(out.err) < 200
+
+
 def test_eval_deep_parentheses(capsys, monkeypatch):
     # expression and value parentheses; the error points at the 101st '('
     for source, col in [("(" * 3000 + "ret 1" + ")" * 3000, 101),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import dist_kleislis, dists, functions, probs
-from convexchoice import convexgeom
+from convexchoice import convexgeom, stats
 from convexchoice.convexgeom import (
     DIST_INSTANCE,
     RAT_INSTANCE,
@@ -18,7 +18,7 @@ from convexchoice.convexgeom import (
     make_basis,
     vectorize,
 )
-from convexchoice.dist import bind_dist, from_pairs, map_dist, point
+from convexchoice.dist import bind_dist, cached_attr, from_pairs, map_dist, point
 from convexchoice.necset import from_generators, member
 
 
@@ -201,6 +201,40 @@ def test_canonicalize_skips_lp_for_certainly_extreme_points(monkeypatch):
     assert len(calls) == 1
 
 
+def _lp_calls(fn, *args):
+    """`fn(*args)` and the number of LPs it solved."""
+    stats.start()
+    try:
+        return fn(*args), stats.lp_calls
+    finally:
+        stats.stop()
+
+
+def test_canonicalize_point_masses_match_the_general_path(monkeypatch):
+    forms = []
+
+    class CountedForm(HullForm):
+        def __init__(self, generators):
+            forms.append(generators)
+            super().__init__(generators)
+
+    monkeypatch.setattr(convexgeom, "HullForm", CountedForm)
+    rng = random.Random(41)
+    outcomes = [True, False, 0, 1, 2, "a", "b"]
+    for _ in range(40):
+        points = [point(rng.choice(outcomes)) for _ in range(rng.randint(0, 9))]
+        points += [point(True), point(1), point(1)]  # True == 1, but distinct outcomes
+        rng.shuffle(points)
+        fast, lps = _lp_calls(canonicalize, points)
+        assert lps == 0 and forms == []
+        # an interior mixture forces the general path, which then drops it
+        distinct = sorted(set(points))
+        centre = from_pairs((p.support()[0], Fraction(1, len(distinct))) for p in distinct)
+        assert canonicalize(points + [centre]) == fast == distinct
+        assert forms
+        forms.clear()
+
+
 def _small_weights(rng, keys):
     """A distribution over `keys` with integer weights 0-3."""
     weights = [rng.randint(0, 3) for _ in keys]
@@ -259,6 +293,77 @@ def test_in_hull_matches_oracle_small_integer_weights():
         assert member(centre, hull) is True
         assert member(x, hull) == want, (x, gens)
         assert hull.hull_form.columns == HullForm(hull.generators).columns
+
+
+def _with_weight(rng, keys, k, weight):
+    """A distribution with exactly `weight` on `k` and the rest spread over the other keys."""
+    rest = [o for o in keys if o != k]
+    if weight == 1 or not rest:
+        return point(k)
+    shares = [rng.randint(0, 3) for _ in rest]
+    if not any(shares):
+        shares[0] = 1
+    return from_pairs(
+        [(k, weight)] + [(o, (1 - weight) * c / sum(shares)) for o, c in zip(rest, shares)]
+    )
+
+
+def test_member_range_rejection_agrees_with_oracle_at_the_boundaries():
+    rng = random.Random(43)
+    for _ in range(40):
+        keys = list("abcd"[: rng.randint(2, 4)])
+        gens = [_small_weights(rng, keys) for _ in range(rng.randint(2, 4))]
+        hull = from_generators(gens)
+        for k in keys:
+            weights = [g.weight(k) for g in gens]
+            for edge, beyond in [(max(weights), (1 + max(weights)) / 2), (min(weights), min(weights) / 2)]:
+                at_edge = [g for g, w in zip(gens, weights) if w == edge]
+                # the centre of the generators at the edge is inside, with `edge` on k
+                centre = from_pairs((o, w / len(at_edge)) for g in at_edge for o, w in g.entries)
+                assert centre.weight(k) == edge and member(centre, hull)
+                for q in [centre] + [_with_weight(rng, keys, k, edge) for _ in range(3)]:
+                    want = in_hull_oracle(q, gens)
+                    assert member(q, hull) == want, (q, gens)
+                    assert in_hull(q, gens) == want, (q, gens)
+                if beyond != edge:
+                    q = _with_weight(rng, keys, k, beyond)
+                    assert not in_hull_oracle(q, gens)
+                    assert _lp_calls(member, q, hull) == (False, 0), (q, gens)
+                    assert _lp_calls(in_hull, q, gens) == (False, 0), (q, gens)
+
+
+def test_member_beyond_a_coordinate_range_needs_no_lp():
+    # a spans [0, 1/2], b [1/4, 1/2] and c [0, 1/2]
+    gens = [d_of(("a", 1, 2), ("b", 1, 2)), d_of(("a", 1, 4), ("b", 1, 4), ("c", 1, 2)),
+            d_of(("b", 1, 2), ("c", 1, 2))]
+    hull = from_generators(gens)
+    assert list(hull.generators) == sorted(gens)
+    cases = [
+        (d_of(("a", 3, 4), ("b", 1, 4)), False, 0),  # a above its range
+        (d_of(("a", 2, 5), ("b", 1, 5), ("c", 2, 5)), False, 0),  # b below its range
+        (d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4)), False, 1),  # in every range, outside
+        (d_of(("a", 1, 4), ("b", 5, 12), ("c", 1, 3)), True, 1),  # the centre
+    ]
+    for x, want, lps in cases:
+        assert _lp_calls(member, x, hull) == (want, lps), x
+        assert in_hull_oracle(x, gens) == want
+
+
+def test_member_builds_the_ranges_once_per_form(monkeypatch):
+    built = []
+    original = HullForm.ranges.func
+
+    def ranges(form):
+        built.append(form)
+        return original(form)
+
+    monkeypatch.setattr(HullForm, "ranges", cached_attr(ranges))
+    mid = d_of(("a", 1, 3), ("b", 1, 3), ("c", 1, 3))
+    x = from_generators([point("a"), point("b"), point("c"), mid])
+    assert built == []  # canonicalize reads the columns only
+    queries = [mid, point("d"), d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4))]
+    assert [member(q, x) for q in queries * 3] == [True, False, True] * 3
+    assert built == [x.hull_form]
 
 
 def test_simplex_feasible_hand_built():

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 
 from conftest import bool_dists, dist_kleislis, dists, functions, outcomes, probs
+from convexchoice.convexgeom import HullForm
 from convexchoice.dist import (
     Dist,
+    Keyed,
     bind_dist,
+    cached_attr,
     compare_dist,
     conv_dist,
     from_pairs,
@@ -16,7 +19,7 @@ from convexchoice.dist import (
     render_dist,
     validate_dist,
 )
-from convexchoice.necset import from_generators
+from convexchoice.necset import NECSet, from_generators
 from convexchoice.prob import prob_make
 
 
@@ -45,6 +48,38 @@ def test_invalid_dists_rejected():
         Dist((("a", Fraction(1, 2)),))  # does not sum to 1
     with pytest.raises(ValueError):
         from_pairs([("a", Fraction(-1, 2)), ("b", Fraction(3, 2))])
+    # one entry is valid only with the Fraction 1 as its weight
+    for weight in [Fraction(1, 2), Fraction(3, 2), Fraction(-1), 1, True, 1.0]:
+        with pytest.raises(ValueError):
+            Dist((("a", weight),))
+    assert Dist((("a", Fraction(2, 2)),)) == point("a")
+
+
+def test_cached_attr_computes_once_per_instance():
+    calls = []
+
+    class Box:
+        def __init__(self, v):
+            self.v = v
+
+        @cached_attr
+        def doubled(self):
+            calls.append(self)
+            return [2 * self.v]
+
+    a, b = Box(1), Box(2)
+    assert [a.doubled, a.doubled, b.doubled, b.doubled] == [[2], [2], [4], [4]]
+    assert calls == [a, b]
+    assert a.doubled is a.doubled and a.doubled is not Box(1).doubled
+    assert isinstance(Box.doubled, cached_attr)
+    # on the frozen value classes the value is stored on first read
+    d = point("a")
+    assert "key" not in vars(d)
+    key = d.key
+    assert vars(d)["key"] is key and d.key is key
+    cached = [Dist.key, Keyed._hash, NECSet.key, NECSet.hull_form, HullForm.columns,
+              HullForm.column_set, HullForm.ranges]
+    assert all(isinstance(c, cached_attr) for c in cached)
 
 
 def test_conv_examples():

@@ -15,6 +15,7 @@ from convexchoice.programs import (
     Choice,
     Eq,
     Lit,
+    QUOTE_LIMIT,
     Ret,
     SourceError,
     Uniform,
@@ -120,6 +121,20 @@ def test_parse_overlong_integer_literals():
         assert exc.value.kind == "syntax"
         assert (exc.value.line, exc.value.column) == (1, source.index(digits) + 1)
         assert "5000 digits" in exc.value.message
+
+
+def test_parse_error_quotes_a_long_token_cut():
+    long = 10**6
+    for source, col in [("x" * long, 1), ("ret 1 " + "y" * long, 7),
+                        ("do x <- ret 1 " + "z" * long, 15), ("ret " + "q" * long, 5)]:
+        with pytest.raises(SourceError) as exc:
+            parse(source)
+        assert (exc.value.line, exc.value.column) == (1, col)
+        assert len(str(exc.value)) < 200 and "..." in exc.value.message
+    # a token at the limit is quoted whole
+    with pytest.raises(SourceError) as exc:
+        parse("ret 1 " + "y" * QUOTE_LIMIT)
+    assert exc.value.message == f"unexpected trailing input {'y' * QUOTE_LIMIT!r}"
 
 
 def test_parse_syntax_error_position():
