@@ -71,7 +71,7 @@ def _cmd_version(_args: argparse.Namespace) -> int:
     return 0
 
 
-STATS_HELP = "print LP calls and simplex pivots on one line to stderr"
+STATS_HELP = "print LP calls, simplex pivots and canonicalization counts on one line to stderr"
 
 
 def build_parser() -> argparse.ArgumentParser:

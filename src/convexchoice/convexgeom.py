@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
@@ -415,6 +416,8 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     Deduplicates, then removes every generator lying in the hull of the
     others.  Extreme points are never removable, so one pass over the
     deduplicated list suffices and the result is removal-order independent.
+    Duplicates are dropped after sorting by key, as neighbours with equal
+    keys, so no generator is hashed.
 
     The pass is output-sensitive: a point that is the only one to reach the
     maximum (or the minimum) of some coordinate among the distinct
@@ -429,10 +432,23 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     """
     if not generators:
         raise ValueError("empty generator list")
-    unique = sorted(set(generators))
+    unique = []
+    for g in sorted(generators, key=_KEY):
+        if not unique or g.key != unique[-1].key:
+            unique.append(g)
+    if len(unique) > 2 and not all(len(g.entries) == 1 for g in unique):
+        unique = _extreme_points(unique)
+    if stats.enabled:
+        stats.record_canonicalize(len(generators), len(unique))
+    return unique
+
+
+_KEY = attrgetter("key")
+
+
+def _extreme_points(unique: List[Dist]) -> List[Dist]:
+    """The extreme points of at least three distinct sorted generators."""
     n = len(unique)
-    if n <= 2 or all(len(g.entries) == 1 for g in unique):
-        return unique
     form = HullForm(unique)
     index = form.index
     holders: List[List[Tuple[Fraction, int]]] = [[] for _ in index]  # (weight, generator)

@@ -36,11 +36,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .dist import (
     Dist,
     Outcome,
+    cached_attr,
     from_pairs,
     outcome_key,
     point,
@@ -129,6 +130,33 @@ class Bind:
     bound: "Expr"
     body: "Expr"
     pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+
+    @cached_attr
+    def rest_reads(self) -> Tuple[Optional[Tuple[int, ...]], ...]:
+        """For the `do` sequence headed here, per binder depth i: the depths
+        of the binders, among the first i + 1, whose values the rest after
+        binder i reads, or None where it reads all of them.  The free
+        variables of each rest are found from the last binder back: the rest
+        after binder i - 1 is binder i's bound expression and, outside binder
+        i's variable, the rest after binder i."""
+        binders = []
+        e: Expr = self
+        while isinstance(e, Bind):
+            binders.append(e)
+            e = e.body
+        free = free_vars(e)
+        frees = []
+        for node in reversed(binders):
+            frees.append(free)
+            free = free_vars(node.bound) | (free - {node.var})
+        frees.reverse()
+        reads = []
+        nearest: Dict[str, int] = {}  # name -> depth of its innermost binder so far
+        for depth, (node, free) in enumerate(zip(binders, frees)):
+            nearest[node.var] = depth
+            read = tuple(sorted(nearest[name] for name in free if name in nearest))
+            reads.append(None if len(read) == depth + 1 else read)
+        return tuple(reads)
 
 
 @dataclass(frozen=True)
@@ -503,12 +531,45 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def free_vars(e: Union[Expr, ValueExpr]) -> Set[str]:
+    """The variables `e` reads that no binder inside `e` binds.
+
+    The tree is walked on an explicit stack, so deep chains do not recurse.
+    A binder's variable is in scope in its body, not in its bound expression.
+    """
+    free: Set[str] = set()
+    scope: Counter[str] = Counter()  # name -> binders of it around the node
+    todo: list = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            if not scope[e.name]:
+                free.add(e.name)
+        elif isinstance(e, Bind):
+            # popped in reverse: bound, enter the scope, body, leave it
+            todo += [(e.var, -1), e.body, (e.var, 1), e.bound]
+        elif isinstance(e, tuple):
+            scope[e[0]] += e[1]
+        elif isinstance(e, Ret):
+            todo.append(e.value)
+        elif isinstance(e, (Choice, Alt, Eq)):
+            todo += [e.right, e.left]
+        elif isinstance(e, (Uniform, Arbitrary)):
+            todo += [*reversed(e.items), e.default]
+    return free
+
+
 class _Level:
     """One binder of a `do` sequence in evaluation: its bound value, the
     distinct values to bind (in order of first appearance across the
-    generators), and the value of the rest of the sequence for each so far."""
+    generators), and the value of the rest of the sequence for each so far.
 
-    __slots__ = ("var", "env", "bound", "keys", "values", "results")
+    `memo`, shared by the levels at this depth in one `_eval_do` call, maps
+    the keys of the values the rest reads to its value, and `pending` is the
+    key of the rest being evaluated; `memo` is None where none is kept.
+    """
+
+    __slots__ = ("var", "env", "bound", "keys", "values", "results", "memo", "pending")
 
     def __init__(self, var: str, env: Dict[str, Outcome], bound: GcmVal) -> None:
         self.var, self.env, self.bound = var, env, bound
@@ -519,37 +580,70 @@ class _Level:
         self.keys = list(distinct)
         self.values = list(distinct.values())
         self.results: List[GcmVal] = []
+        self.memo: Optional[Dict[tuple, GcmVal]] = None
+
+    def add(self, value: GcmVal) -> None:
+        """Record the value of the rest for the current bound value."""
+        if self.memo is not None:
+            self.memo[self.pending] = value
+        self.results.append(value)
 
 
 def _eval_do(e: Bind, env: Dict[str, Outcome]) -> GcmVal:
     """A `do` sequence, on an explicit stack of binders instead of Python frames.
 
-    The rest of the sequence is evaluated once per distinct bound value, in
-    the order in which `bind_gcm` would first call the continuation on it,
-    so the first error raised is the same; `bind_gcm` then reads the results.
+    The rest after each binder is evaluated once per distinct value of the
+    sequence variables it reads, as its value depends on nothing else (`env`
+    is fixed during the call); other bound values take the stored result.
+    Misses come in the order in which `bind_gcm` would first call the
+    continuation on each bound value, so the first error raised is the same,
+    and only values that returned are stored.  `bind_gcm` then reads one
+    result per distinct bound value.  `Bind.rest_reads` is looked up only
+    once a binder has bound more than one value: until then no rest repeats.
     """
+    head = e
     binders = []
     while isinstance(e, Bind):
         binders.append(e)
         e = e.body
     body = e
-    stack = [_Level(binders[0].var, env, eval_expr(binders[0].bound, env))]
+    reads: Optional[Tuple[Optional[Tuple[int, ...]], ...]] = None
+    stack: List[_Level] = []
+    node: Optional[Bind] = head
+    inner = env
     while True:
+        if node is not None:
+            level = _Level(node.var, inner, eval_expr(node.bound, inner))
+            if reads is None and len(level.values) > 1:
+                reads = head.rest_reads
+                memos = [None if read is None else {} for read in reads]
+            if reads is not None:
+                level.memo = memos[len(stack)]
+            stack.append(level)
+            node = None
         level = stack[-1]
-        if len(level.results) < len(level.values):
-            inner = {**level.env, level.var: level.values[len(level.results)]}
-            if len(stack) == len(binders):
-                level.results.append(eval_expr(body, inner))
+        done = len(level.results)
+        if done < len(level.values):
+            depth = len(stack) - 1
+            if level.memo is not None:
+                key = tuple(stack[j].keys[len(stack[j].results)] for j in reads[depth])
+                value = level.memo.get(key)
+                if value is not None:
+                    level.results.append(value)
+                    continue
+                level.pending = key
+            inner = {**level.env, level.var: level.values[done]}
+            if depth + 1 == len(binders):
+                level.add(eval_expr(body, inner))
             else:
-                node = binders[len(stack)]
-                stack.append(_Level(node.var, inner, eval_expr(node.bound, inner)))
+                node = binders[depth + 1]
             continue
         stack.pop()
         table = dict(zip(level.keys, level.results))
         value = bind_gcm(level.bound, lambda a: table[outcome_key(a)])
         if not stack:
             return value
-        stack[-1].results.append(value)
+        stack[-1].add(value)
 
 
 def run(text: str) -> GcmVal:

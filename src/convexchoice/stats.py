@@ -1,12 +1,14 @@
-"""Opt-in counters of the exact simplex: LPs solved and pivots made.
+"""Opt-in counters of the exact simplex and of canonicalization.
 
-Counting is off by default.  The pivot loop keeps its pivot count in a local
-and reports it once per LP, only when counting is on, so the counters cost
-one flag test per LP when they are off.
+Counted: LPs solved and pivots made, and `canonicalize` calls with the
+generators they take in and give out.  Counting is off by default.  The
+pivot loop keeps its pivot count in a local and reports it once per LP, and
+`canonicalize` reports once per call, each only when counting is on, so the
+counters cost one flag test per LP and per call when they are off.
 
     stats.start()
     ...                       # any convexchoice work
-    print(stats.render())     # "stats: lp_calls=12 pivots=31"
+    print(stats.render())     # "stats: lp_calls=12 pivots=31 canonicalize_calls=4 ..."
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from typing import Dict
 enabled = False
 lp_calls = 0
 pivots = 0
+canonicalize_calls = 0
+gens_in = 0
+gens_out = 0
 
 
 def start() -> None:
     """Zero the counters and turn counting on."""
-    global enabled, lp_calls, pivots
+    global enabled, lp_calls, pivots, canonicalize_calls, gens_in, gens_out
     enabled = True
-    lp_calls = 0
-    pivots = 0
+    lp_calls = pivots = canonicalize_calls = gens_in = gens_out = 0
 
 
 def stop() -> None:
@@ -39,8 +43,22 @@ def record_lp(lp_pivots: int) -> None:
     pivots += lp_pivots
 
 
+def record_canonicalize(n_in: int, n_out: int) -> None:
+    """Count one `canonicalize` call that took `n_in` generators and kept `n_out`."""
+    global canonicalize_calls, gens_in, gens_out
+    canonicalize_calls += 1
+    gens_in += n_in
+    gens_out += n_out
+
+
 def snapshot() -> Dict[str, int]:
-    return {"lp_calls": lp_calls, "pivots": pivots}
+    return {
+        "lp_calls": lp_calls,
+        "pivots": pivots,
+        "canonicalize_calls": canonicalize_calls,
+        "gens_in": gens_in,
+        "gens_out": gens_out,
+    }
 
 
 def render() -> str:

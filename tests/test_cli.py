@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -268,6 +270,16 @@ def test_version(capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out.strip() == __version__
+
+
+def test_run_as_module_from_a_checkout():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "convexchoice", "version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
 
 
 _TOKENS = (
