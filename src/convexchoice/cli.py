@@ -8,7 +8,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__, stats
-from .laws import GenConfig, check_all, check_law, law_names, render_report
+from .laws import GenConfig, check_all, check_law, law_names, render_report, run_trial
 from .programs import SourceError, monty, parse, eval_expr, render
 
 
@@ -43,10 +43,17 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.trial is not None and (args.law is None or args.trial < 0):
+        print("error: --trial takes a trial number >= 0 and needs --law", file=sys.stderr)
+        return 1
     if args.law is not None:
         if args.law not in law_names():
             print(f"error: unknown law {args.law!r}", file=sys.stderr)
             return 1
+        if args.trial is not None:
+            found = run_trial(args.law, config, args.trial)
+            print(f"trial {args.trial}: {'no counterexample' if found is None else found}")
+            return 0
         reports = [check_law(args.law, config)]
     else:
         reports = check_all(config)
@@ -91,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument("--trials", type=int, default=200)
     p_laws.add_argument("--seed", type=int, default=42)
     p_laws.add_argument("--law", default=None, help="check a single law by name")
+    p_laws.add_argument("--trial", type=int, default=None, help="with --law, run only trial N and print it")
     p_laws.add_argument("--stats", action="store_true", help=STATS_HELP)
     p_laws.set_defaults(func=_cmd_check_laws)
 

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, cached_attr, conv_dist, from_pairs, outcome_key
+from .dist import Dist, Outcome, _dist, cached_attr, conv_dist, outcome_key
 from .prob import Prob
 
 C = TypeVar("C")
@@ -65,23 +65,20 @@ def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
     it, with its weight relative to the mass mixed so far, so the support
     can be any size without recursion.
     """
-    entries = weights.entries
-    for idx, _ in entries:
+    idxs, nums = weights.outcomes, weights.nums
+    for idx in idxs:
         if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(points):
             raise ValueError(f"no point for supported index {idx!r}")
-    last, mass = entries[-1]
-    acc = points[last]
-    for idx, w in reversed(entries[:-1]):
-        mass += w
-        acc = inst.conv(Prob(w / mass), points[idx], acc)
+    acc, mass = points[idxs[-1]], nums[-1]
+    for idx, n in zip(reversed(idxs[:-1]), reversed(nums[:-1])):
+        mass += n
+        acc = inst.conv(Prob(Fraction(n, mass)), points[idx], acc)
     return acc
 
 
 def barycenter(d: Dist, inst: ConvexInstance[C]) -> C:
     """Convex combination of a distribution's own support elements."""
-    pts = list(d.support())
-    weights = from_pairs((i, w) for i, (_, w) in enumerate(d.entries))
-    return convn(weights, pts, inst)
+    return convn(_dist(tuple(range(len(d.nums))), d.nums, d.den), d.outcomes, inst)
 
 
 def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
@@ -101,13 +98,13 @@ def _coordinate_index(dists: Sequence[Dist]) -> Dict[tuple, int]:
     """Row index of every supported outcome, by `outcome_key` so `True` and `1` differ."""
     index: Dict[tuple, int] = {}
     for d in dists:
-        for k, _ in d.key[1]:
+        for k in d.okeys:
             index.setdefault(k, len(index))
     return index
 
 
 def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
-    """The weights of `d` as numerators over one common denominator.
+    """The numerators of `d`, over its own `den`, in the rows of `index`.
 
     None when `d` puts weight on an outcome the index lacks.  A positive
     scale per column (or per right-hand side) only rescales the simplex
@@ -115,13 +112,12 @@ def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
     common denominator, so two rows are equal exactly when their
     distributions are: a row sums to its own scale.
     """
-    scale = math.lcm(*(w.denominator for _, w in d.entries))
     row = [0] * len(index)
-    for k, w in d.key[1]:
+    for k, n in zip(d.okeys, d.nums):
         i = index.get(k)
         if i is None:
             return None
-        row[i] = w.numerator * (scale // w.denominator)
+        row[i] = n
     return tuple(row)
 
 
@@ -129,11 +125,11 @@ class HullForm:
     """The integer form of a generator list, read by every hull query on it.
 
     `index` numbers the supported outcomes; `columns` holds each generator's
-    `_int_coords`, `column_set` the same tuples for lookup, and `ranges` the
-    span of each coordinate over the generators.  All three are built on
-    first use, so `canonicalize` pays only for the columns, and only when
-    some point needs an LP.  Nothing is changed after it is built, so a form
-    can serve any number of queries.
+    `_int_coords`, `column_set` the same tuples for lookup, `rows` the
+    weights of each coordinate over one common scale, and `ranges` their
+    span.  All are built on first use, so `canonicalize` pays for no lookup
+    set or ranges.  Nothing is changed after it is built, so a form can serve
+    any number of queries.
     """
 
     def __init__(self, generators: Sequence[Dist]) -> None:
@@ -149,18 +145,21 @@ class HullForm:
         return frozenset(self.columns)
 
     @cached_attr
-    def ranges(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """`(scale, low, high)`: each coordinate's least and greatest weight, times `scale`.
+    def rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
+        """`(scale, rows)`: row r holds every generator's weight on coordinate r, times `scale`.
 
-        A column sums to its own scale, so over the common multiple `scale`
-        of those sums every weight is an integer and the extremes are exact.
+        A column sums to its generator's `den`, so over the common multiple
+        `scale` of those every weight is an integer and compares exactly.
         """
-        columns = self.columns
-        sums = [sum(col) for col in columns]
-        scale = math.lcm(*sums)
-        scaled = [[v * (scale // s) for v in col] for col, s in zip(columns, sums)]
-        by_coordinate = list(zip(*scaled))
-        return scale, tuple(map(min, by_coordinate)), tuple(map(max, by_coordinate))
+        dens = [g.den for g in self.generators]
+        scale = math.lcm(*dens)
+        return scale, list(zip(*([v * (scale // s) for v in col] for col, s in zip(self.columns, dens))))
+
+    @cached_attr
+    def ranges(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """`(scale, low, high)`: each coordinate's least and greatest weight, times `scale`."""
+        scale, rows = self.rows
+        return scale, tuple(map(min, rows)), tuple(map(max, rows))
 
     def contains(self, x: Dist) -> bool:
         """Exact test for x in the hull, with an LP only when no shortcut answers."""
@@ -170,9 +169,9 @@ class HullForm:
         if row in self.column_set:
             return True  # x is a generator
         # A mixture keeps every weight inside the range the generators span;
-        # x's weights are row / sum(row), compared by cross-multiplication.
+        # x's weights are row / x.den, compared by cross-multiplication.
         scale, low, high = self.ranges
-        total = sum(row)
+        total = x.den
         for v, lo, hi in zip(row, low, high):
             if not lo * total <= v * scale <= hi * total:
                 return False
@@ -312,16 +311,8 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
     if len(xs) == 1 or len(ys) == 1:
         return [(i, j) for i in range(len(xs)) for j in range(len(ys))]
     index = _coordinate_index([*xs, *ys])
-    scale = math.lcm(*(w.denominator for g in (*xs, *ys) for _, w in g.entries))
-
-    def coords(g: Dist) -> List[int]:
-        row = [0] * len(index)
-        for k, w in g.key[1]:
-            row[index[k]] = w.numerator * (scale // w.denominator)
-        return row
-
-    xc = [coords(x) for x in xs]
-    yc = [coords(y) for y in ys]
+    scale = math.lcm(*(g.den for g in (*xs, *ys)))
+    xc, yc = ([[v * (scale // g.den) for v in _int_coords(g, index)] for g in gs] for gs in (xs, ys))
     kept = []
     for i, xi in enumerate(xc):
         for j, yj in enumerate(yc):
@@ -436,7 +427,7 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     for g in sorted(generators, key=_KEY):
         if not unique or g.key != unique[-1].key:
             unique.append(g)
-    if len(unique) > 2 and not all(len(g.entries) == 1 for g in unique):
+    if len(unique) > 2 and not all(len(g.nums) == 1 for g in unique):
         unique = _extreme_points(unique)
     if stats.enabled:
         stats.record_canonicalize(len(generators), len(unique))
@@ -447,27 +438,18 @@ _KEY = attrgetter("key")
 
 
 def _extreme_points(unique: List[Dist]) -> List[Dist]:
-    """The extreme points of at least three distinct sorted generators."""
+    """The extreme points of at least three distinct sorted generators.
+
+    A generator alone at the maximum or the minimum of one row of `rows` is
+    extreme; a row's minimum is 0 where generators lack its outcome.
+    """
     n = len(unique)
     form = HullForm(unique)
-    index = form.index
-    holders: List[List[Tuple[Fraction, int]]] = [[] for _ in index]  # (weight, generator)
-    for j, g in enumerate(unique):
-        for k, w in g.key[1]:
-            holders[index[k]].append((w, j))
     extreme = set()
-    for col in holders:
-        weights = [w for w, _ in col]
-        top = max(weights)
-        if weights.count(top) == 1:
-            extreme.add(col[weights.index(top)][1])
-        if len(col) == n - 1:
-            # the one generator without this key has the unique minimum, 0
-            extreme.add(n * (n - 1) // 2 - sum(j for _, j in col))
-        elif len(col) == n:
-            low = min(weights)
-            if weights.count(low) == 1:
-                extreme.add(col[weights.index(low)][1])
+    for row in form.rows[1]:
+        for v in (max(row), min(row)):
+            if row.count(v) == 1:
+                extreme.add(row.index(v))
     if len(extreme) == n:
         return unique
     coords = form.columns

@@ -4,28 +4,31 @@ Outcomes are booleans, integers, symbols (plain strings), or nested `Dist`
 and `NECSet` values.  One total order covers all of them, given by one sort
 key per outcome, `outcome_key`: `(0, not x)` for a bool, so `true` sorts
 before `false`; `(1, x)` for an int; `(2, x)` for a symbol; and the cached
-`key` of a `Dist`, `(3, ((key of k, w), ...))` over its entries, or of a
-`NECSet`, `(4, (key of g, ...))` over its generators.  Keys compare as
-tuples: entry by entry, with a strict prefix smaller.  The leading number
-keeps `True` and `1` apart, though Python has `True == 1`.
+`key` of a `Dist`, `(3, ((key of k, Weight(n, den)), ...))` over its
+entries, or of a `NECSet`, `(4, (key of g, ...))` over its generators.  Keys
+compare as tuples: entry by entry, with a strict prefix smaller.  The
+leading number keeps `True` and `1` apart, though Python has `True == 1`.
 
-A `Dist` is stored canonically as a tuple of (key, weight) entries with
-keys strictly increasing, weights strictly positive, and weights summing
-exactly to 1.  Equality, hashing and order are all read from the key of
-this canonical form, so two equal distributions are structurally identical.
-Every construction checks those invariants; a one-entry distribution, as
-every `point` is, needs only two integer comparisons for it.  Keys and
-hashes are computed once per value and stored on it by `cached_attr`.
+A `Dist` holds its outcomes, keys strictly increasing, and their weights as
+positive integer numerators `nums` over one denominator `den`, with
+`sum(nums) == den` and `gcd(den, *nums) == 1`: the form is unique, so
+equality, hashing and order, all read from the key, are structural.  A
+`Weight` in the key is the rational n/den, compared by cross-multiplication,
+so keys order exactly as they would with `Fraction` weights.  Mixing,
+merging and pushforward work on the numerators, with one gcd per result.
+`Fraction`s are only at the edges: `Dist(entries)` and `from_pairs` take
+them, checked, and `entries`, `weight()` and rendering give them back.
+Keys, hashes and `entries` are computed once per value by `cached_attr`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
+from . import stats
 from .prob import Prob, render_rational
 
 Outcome = object
@@ -100,56 +103,76 @@ class Keyed:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
+class Weight:
+    """The rational n/d (d > 0) in a `Dist` key, compared with another `Weight`.
+
+    Tuple order calls `==` and then one more comparison on the first elements
+    that differ, so all six are defined, each by cross-multiplication.  Equal
+    values over different denominators hash alike.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int) -> None:
+        self.n, self.d = n, d
+
+    __eq__ = lambda a, b: a.n * b.d == b.n * a.d  # noqa: E731
+    __ne__ = lambda a, b: a.n * b.d != b.n * a.d  # noqa: E731
+    __lt__ = lambda a, b: a.n * b.d < b.n * a.d  # noqa: E731
+    __le__ = lambda a, b: a.n * b.d <= b.n * a.d  # noqa: E731
+    __gt__ = lambda a, b: a.n * b.d > b.n * a.d  # noqa: E731
+    __ge__ = lambda a, b: a.n * b.d >= b.n * a.d  # noqa: E731
+
+    def __hash__(self) -> int:
+        g = math.gcd(self.n, self.d)
+        return hash((self.n // g, self.d // g))
+
+
 class Dist(Keyed):
-    """A canonical finitely-supported distribution."""
+    """A canonical finitely-supported distribution: `outcomes` with weights `nums` / `den`.
 
-    entries: Tuple[Entry, ...]
+    `Dist(entries)` takes `(outcome, Fraction)` pairs in canonical order and
+    raises ValueError unless they are; the operations below build theirs
+    with `_dist`.  The key of a one-entry distribution is not read, so
+    `barycenter` can take point masses on values that are not outcomes.
+    """
 
-    def __post_init__(self) -> None:
-        self._check()
+    __slots__ = ("outcomes", "nums", "den")
 
-    def _check(self) -> None:
-        """The canonical-form invariants; raises ValueError on the first broken.
-
-        The key of a one-entry distribution is not read, so `barycenter` can
-        take point masses on values that are not outcomes, such as rationals.
-        One entry is valid exactly when its weight is the `Fraction` 1, which
-        two integer comparisons settle; any other input gets the full check.
-        """
-        entries = self.entries
+    def __init__(self, entries: Tuple[Entry, ...]) -> None:
         if type(entries) is not tuple or not entries:
             raise ValueError("distribution must have non-empty support")
-        if len(entries) == 1:
-            _, weight = entries[0]
-            if type(weight) is Fraction and weight.numerator == weight.denominator == 1:
-                return
-        for key, weight in entries:
-            # a denominator is always positive
-            if not isinstance(weight, Fraction) or weight.numerator <= 0:
-                raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
-        if len(entries) > 1:
-            keys = self.key[1]
-            if any(a[0] >= b[0] for a, b in zip(keys, keys[1:])):
-                raise ValueError("entries not strictly increasing")
-        # The exact sum, as integer numerators over one common denominator.
-        scale = math.lcm(*(w.denominator for _, w in entries))
-        total = sum(w.numerator * (scale // w.denominator) for _, w in entries)
-        if total != scale:
-            raise ValueError(f"weights sum to {Fraction(total, scale)}, not 1")
+        self.nums, self.den = _over_lcm(entries)
+        self.outcomes = tuple(k for k, _ in entries)
+        keys = self.okeys if len(entries) > 1 else ()
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("entries not strictly increasing")
+        self.__dict__["entries"] = entries
+
+    @cached_attr
+    def okeys(self) -> Tuple[tuple, ...]:
+        """The `outcome_key` of each outcome; those `_normalized` builds come with them."""
+        return tuple(map(outcome_key, self.outcomes))
 
     @cached_attr
     def key(self) -> tuple:
-        return (3, tuple((outcome_key(k), w) for k, w in self.entries))
+        den = self.den
+        return (3, tuple(zip(self.okeys, [Weight(n, den) for n in self.nums])))
+
+    @cached_attr
+    def entries(self) -> Tuple[Entry, ...]:
+        """The `(outcome, Fraction)` pairs, in canonical order."""
+        den = self.den
+        return tuple((k, Fraction(n, den)) for k, n in zip(self.outcomes, self.nums))
 
     def support(self) -> Tuple[Outcome, ...]:
-        return tuple(k for k, _ in self.entries)
+        return self.outcomes
 
     def weight(self, key: Outcome) -> Fraction:
         wanted = outcome_key(key)
-        for k, w in self.key[1]:
+        for k, n in zip(self.okeys, self.nums):
             if k == wanted:
-                return w
+                return Fraction(n, self.den)
         return Fraction(0)
 
     def __str__(self) -> str:
@@ -159,79 +182,103 @@ class Dist(Keyed):
         return f"Dist({render_dist(self)})"
 
 
+def _dist(outcomes: Tuple[Outcome, ...], nums: Sequence[int], den: int) -> Dist:
+    """The `Dist` with weights nums[i] / den in lowest terms; nothing else is checked."""
+    g = math.gcd(den, *nums)
+    d = object.__new__(Dist)
+    d.outcomes, d.den = outcomes, den // g
+    d.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+    return d
+
+
+def _over_lcm(entries: Sequence[Entry]) -> Tuple[Tuple[int, ...], int]:
+    """The weights of `entries` as numerators over their least common denominator.
+
+    Raises ValueError unless every weight is a positive `Fraction` and they sum to 1.
+    """
+    for key, weight in entries:
+        # a denominator is always positive
+        if not isinstance(weight, Fraction) or weight.numerator <= 0:
+            raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
+    den = math.lcm(*(w.denominator for _, w in entries))
+    nums = tuple(w.numerator * (den // w.denominator) for _, w in entries)
+    if sum(nums) != den:
+        raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+    return nums, den
+
+
+def _normalized(triples: Iterable[Tuple[tuple, Outcome, int]]) -> Dist:
+    """The distribution proportional to positive integer weights, merged by outcome and sorted.
+
+    Takes `(outcome_key(x), x, weight)` triples.
+    """
+    acc: dict = {}
+    for k, key, n in triples:
+        if k in acc:
+            acc[k][1] += n
+        else:
+            acc[k] = [key, n]
+    okeys = sorted(acc)
+    merged = [acc[k] for k in okeys]
+    nums = [n for _, n in merged]
+    d = _dist(tuple(k for k, _ in merged), nums, sum(nums))
+    d.__dict__["okeys"] = tuple(okeys)
+    return d
+
+
 def from_pairs(pairs: Iterable[Entry]) -> Dist:
     """Canonicalize a weighted key list: merge duplicates, drop zeros, sort.
 
-    Negative weights are rejected; the merged weights must sum exactly to 1.
+    Negative weights are rejected; the others must be `Fraction`s, and they
+    must sum exactly to 1.  They are merged as numerators over their least
+    common denominator.
     """
-    acc: dict = {}
+    if stats.enabled:
+        stats.from_pairs_calls += 1
+    kept = []
     for key, weight in pairs:
         if weight < 0:
             raise ValueError(f"negative weight {weight} for key {key!r}")
-        if weight == 0:
-            continue
-        k = outcome_key(key)
-        if k in acc:
-            acc[k] = (key, acc[k][1] + weight)
-        else:
-            acc[k] = (key, weight)
-    return Dist(tuple(entry for _, entry in sorted(acc.items())))
-
-
-_ONE = Fraction(1)
+        if weight:
+            kept.append((key, weight))
+    if not kept:
+        raise ValueError("distribution must have non-empty support")
+    return _normalized((outcome_key(k), k, n) for (k, _), n in zip(kept, _over_lcm(kept)[0]))
 
 
 def point(key: Outcome) -> Dist:
     """The point-supported distribution: all mass on one outcome."""
-    return Dist(((key, _ONE),))
+    return _dist((key,), (1,), 1)
 
 
 def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:
-    """Pointwise mixture p*d1 + (1-p)*d2.
-
-    Both entry lists are already in canonical order, so one merge pass gives
-    the mixture's: a key in both gets the sum of its two scaled weights, and
-    no weight is 0 because p lies strictly between 0 and 1 there.
-    """
-    if p.is_one():
+    """Pointwise mixture p*d1 + (1-p)*d2: for p = a/b, `mix_dists` with weights a and b - a."""
+    a, b = p.value.numerator, p.value.denominator
+    if a == b:
         return d1
-    if p.is_zero():
+    if not a:
         return d2
-    pv = p.value
-    qv = 1 - pv
-    a, b = d1.entries, d2.entries
-    ka, kb = d1.key[1], d2.key[1]
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (k1, w1), (k2, w2) = a[i], b[j]
-        c1, c2 = ka[i][0], kb[j][0]
-        if c1 < c2:
-            out.append((k1, pv * w1))
-            i += 1
-        elif c2 < c1:
-            out.append((k2, qv * w2))
-            j += 1
-        else:
-            out.append((k1, pv * w1 + qv * w2))
-            i += 1
-            j += 1
-    out.extend((k, pv * w) for k, w in a[i:])
-    out.extend((k, qv * w) for k, w in b[j:])
-    return Dist(tuple(out))
+    return mix_dists([(a, d1), (b - a, d2)])
+
+
+def mix_dists(family: Sequence[Tuple[int, Dist]]) -> Dist:
+    """The mixture sum w*d / sum w over `[(w, d), ...]`, for positive integer weights w."""
+    if len(family) == 1:
+        return family[0][1]
+    den = math.lcm(*(d.den for _, d in family))
+    return _normalized(
+        (k, x, w * (den // d.den) * n) for w, d in family for k, x, n in zip(d.okeys, d.outcomes, d.nums)
+    )
 
 
 def map_dist(f: Callable[[Outcome], Outcome], d: Dist) -> Dist:
     """Pushforward along f; mass of colliding images is merged."""
-    return from_pairs((f(k), w) for k, w in d.entries)
+    return _normalized((outcome_key(y), y, n) for y, n in zip(map(f, d.outcomes), d.nums))
 
 
 def bind_dist(d: Dist, k: Callable[[Outcome], Dist]) -> Dist:
     """Weighted sum of the continuation's distributions over the support."""
-    pairs = []
-    for key, weight in d.entries:
-        pairs.extend((k2, weight * w2) for k2, w2 in k(key).entries)
-    return from_pairs(pairs)
+    return mix_dists(list(zip(d.nums, map(k, d.outcomes))))
 
 
 def compare_dist(d1: Outcome, d2: Outcome) -> int:
@@ -240,12 +287,22 @@ def compare_dist(d1: Outcome, d2: Outcome) -> int:
 
 
 def validate_dist(d: Dist) -> None:
-    """Re-check every canonical-form invariant; raises on violation.
+    """Re-check every canonical-form invariant; raises ValueError on violation.
 
-    Beyond the constructor's checks, every key must be an outcome.
+    First on the `Fraction` view `entries`: positive weights, outcome keys
+    strictly increasing (a key that is not an outcome raises TypeError), and
+    an exact sum of 1.  Then the integer form must match it: `den` is the
+    least common denominator of the weights, each numerator its weight times `den`.
     """
-    d._check()
-    d.key  # raises TypeError on a key that is not an outcome
+    entries = d.entries
+    keys = [outcome_key(k) for k, _ in entries]
+    if not entries or any(w <= 0 for _, w in entries) or any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError(f"not positive weights on strictly increasing keys: {entries}")
+    if sum(w for _, w in entries) != 1:
+        raise ValueError(f"weights do not sum to 1: {entries}")
+    lcd = math.lcm(*(w.denominator for _, w in entries))
+    if (d.den, list(d.nums)) != (lcd, [w * lcd for _, w in entries]) or len(d.outcomes) != len(d.nums):
+        raise ValueError(f"integer form {d.nums} / {d.den} does not match {entries}")
 
 
 def render_outcome(x: Outcome) -> str:
@@ -257,5 +314,7 @@ def render_outcome(x: Outcome) -> str:
 
 def render_dist(d: Dist) -> str:
     """`{k1: w1, k2: w2}` with keys in canonical order, weights in lowest terms."""
-    inner = ", ".join(f"{render_outcome(k)}: {render_rational(w)}" for k, w in d.entries)
+    inner = ", ".join(
+        f"{render_outcome(k)}: {render_rational(n, d.den)}" for k, n in zip(d.outcomes, d.nums)
+    )
     return "{" + inner + "}"

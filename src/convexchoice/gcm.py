@@ -46,7 +46,7 @@ def join_gcm(mm: GcmVal) -> GcmVal:
     set, computed as the mixture of its keys by their weights.  The join is
     the hull of the union of those barycenters.
     """
-    return lub_necset([mix_necsets([(w, x) for x, w in d.entries]) for d in mm.generators])
+    return lub_necset([mix_necsets(list(zip(d.nums, d.outcomes))) for d in mm.generators])
 
 
 def bind_gcm(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
@@ -56,10 +56,10 @@ def bind_gcm(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
     and the result is the hull of the union of those mixtures.  Barycenters
     are affine, so the mixture of a mapped distribution that is not extreme
     lies in the hull of the others' and the union's hull is the same as
-    join's.  `k` is called once per entry, in the order of d's entries, and
+    join's.  `k` is called once per outcome, in the order of d's outcomes, and
     equal images merge inside `mix_necsets`.
     """
-    return lub_necset([mix_necsets([(w, k(a)) for a, w in d.entries]) for d in m.generators])
+    return lub_necset([mix_necsets(list(zip(d.nums, map(k, d.outcomes)))) for d in m.generators])
 
 
 def bind_gcm_direct(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:

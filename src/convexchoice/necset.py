@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
-from .dist import Dist, Entry, Keyed, cached_attr, conv_dist, from_pairs
+from .dist import Dist, Keyed, cached_attr, conv_dist, mix_dists
 from .prob import Prob
 
 
@@ -118,35 +118,35 @@ def conv_necset(p: Prob, x: NECSet, y: NECSet) -> NECSet:
     )
 
 
-def mix_necsets(family: Sequence[Tuple[Fraction, NECSet]]) -> NECSet:
-    """The Minkowski mixture sum w*X over `[(w, X), ...]`, whose weights sum to 1.
+def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
+    """The Minkowski mixture sum n*X / sum n over `[(n, X), ...]`, for positive integers n.
 
     A one-generator set only translates the mixture, so all of those are
-    summed into one translation point in a single pass.  Equal sets merge,
-    since a*X + b*X = (a+b)*X for a convex X.  The distinct sets left are
-    folded with `conv_necset`, and the translation is mixed in last.
+    mixed into one translation point by `mix_dists`.  Equal sets merge, since
+    a*X + b*X = (a+b)*X for a convex X.  The distinct sets left are folded
+    with `conv_necset`, one `Fraction` weight per fold, and the translation
+    is mixed in last.
     """
     if len(family) == 1:
         return family[0][1]
-    shift: List[Entry] = []
-    shift_mass = Fraction(0)
-    sets: Dict[NECSet, Fraction] = {}
-    for w, x in family:
+    shift: List[Tuple[int, Dist]] = []
+    sets: Dict[NECSet, int] = {}
+    for n, x in family:
         if len(x.generators) > 1:
-            sets[x] = sets.get(x, 0) + w
+            sets[x] = sets.get(x, 0) + n
         else:
-            shift_mass += w
-            shift.extend((k, w * wk) for k, wk in x.generators[0].entries)
+            shift.append((n, x.generators[0]))
     mixed, mass = None, 0
-    for x, w in sets.items():
-        mass += w
-        mixed = x if mixed is None else conv_necset(Prob(w / mass), x, mixed)
+    for x, n in sets.items():
+        mass += n
+        mixed = x if mixed is None else conv_necset(Prob(Fraction(n, mass)), x, mixed)
     if not shift:
         return mixed
-    point = from_pairs((k, w / shift_mass) for k, w in shift)
+    point = singleton_necset(mix_dists(shift))
     if mixed is None:
-        return singleton_necset(point)
-    return conv_necset(Prob(shift_mass), singleton_necset(point), mixed)
+        return point
+    shift_mass = sum(n for n, _ in shift)
+    return conv_necset(Prob(Fraction(shift_mass, shift_mass + mass)), point, mixed)
 
 
 NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(conv_necset)

@@ -7,8 +7,10 @@ parameter anywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 
 class ProbError(ValueError):
@@ -100,11 +102,13 @@ def _decimal(n: int) -> str:
     return sign + top + "".join(str(c).zfill(_CHUNK_DIGITS) for c in reversed(chunks))
 
 
-def render_rational(x: Fraction) -> str:
-    """`a/b` in lowest terms, `a` alone when the denominator is 1."""
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+def render_rational(x: Union[Fraction, int], den: int = 1) -> str:
+    """x / den as `a/b` in lowest terms, `a` alone when b is 1."""
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
+    if den == g:
+        return _decimal(num // g)
+    return f"{_decimal(num // g)}/{_decimal(den // g)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -35,14 +35,13 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .dist import (
     Dist,
     Outcome,
     cached_attr,
-    from_pairs,
+    mix_dists,
     outcome_key,
     point,
     render_dist,
@@ -657,8 +656,7 @@ def uniform(default: Outcome, values: Sequence[Outcome]) -> GcmVal:
     """Uniformly random element of `values` (`default` if empty)."""
     if not values:
         return ret_gcm(default)
-    weight = Fraction(1, len(values))
-    return singleton_necset(from_pairs((v, weight) for v in values))
+    return singleton_necset(mix_dists([(1, point(v)) for v in values]))
 
 
 def arbitrary(default: Outcome, values: Sequence[Outcome]) -> GcmVal:
@@ -749,7 +747,7 @@ def _structured_outcome(x: Outcome):
 
 
 def _structured_dist(d: Dist) -> list:
-    return [[_structured_outcome(k), render_rational(w)] for k, w in d.entries]
+    return [[_structured_outcome(k), render_rational(n, d.den)] for k, n in zip(d.outcomes, d.nums)]
 
 
 def _structured_necset(v: NECSet) -> list:

@@ -1,10 +1,11 @@
 """Opt-in counters of the exact simplex and of canonicalization.
 
-Counted: LPs solved and pivots made, and `canonicalize` calls with the
-generators they take in and give out.  Counting is off by default.  The
-pivot loop keeps its pivot count in a local and reports it once per LP, and
-`canonicalize` reports once per call, each only when counting is on, so the
-counters cost one flag test per LP and per call when they are off.
+Counted: LPs solved and pivots made, `canonicalize` calls with the
+generators they take in and give out, and `from_pairs` calls.  Counting is
+off by default.  The pivot loop keeps its pivot count in a local and reports
+it once per LP, and `canonicalize` and `from_pairs` report once per call,
+each only when counting is on, so the counters cost one flag test per LP and
+per call when they are off.
 
     stats.start()
     ...                       # any convexchoice work
@@ -21,13 +22,14 @@ pivots = 0
 canonicalize_calls = 0
 gens_in = 0
 gens_out = 0
+from_pairs_calls = 0
 
 
 def start() -> None:
     """Zero the counters and turn counting on."""
-    global enabled, lp_calls, pivots, canonicalize_calls, gens_in, gens_out
+    global enabled, lp_calls, pivots, canonicalize_calls, gens_in, gens_out, from_pairs_calls
     enabled = True
-    lp_calls = pivots = canonicalize_calls = gens_in = gens_out = 0
+    lp_calls = pivots = canonicalize_calls = gens_in = gens_out = from_pairs_calls = 0
 
 
 def stop() -> None:
@@ -58,6 +60,7 @@ def snapshot() -> Dict[str, int]:
         "canonicalize_calls": canonicalize_calls,
         "gens_in": gens_in,
         "gens_out": gens_out,
+        "from_pairs_calls": from_pairs_calls,
     }
 
 

@@ -120,6 +120,20 @@ def test_check_laws_unknown_law(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+def test_check_laws_single_trial_reproduces_a_counterexample(capsys):
+    assert cli_main(["check-laws", "--law", "neg_bindDr_alt"]) == 0
+    first = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("    trial "))
+    trial = first.split()[1].rstrip(":")
+    assert cli_main(["check-laws", "--law", "neg_bindDr_alt", "--trial", trial]) == 0
+    assert capsys.readouterr() == (first.strip() + "\n", "")
+    assert cli_main(["check-laws", "--law", "choice0", "--trial", "0"]) == 0
+    assert capsys.readouterr().out == "trial 0: no counterexample\n"
+    for argv in (["--trial", "1"], ["--law", "choice0", "--trial", "-1"]):
+        assert cli_main(["check-laws", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_check_laws_bad_config(capsys):
     for argv in (["--trials", "0"], ["--seed", "-1"]):
         code = cli_main(["check-laws", *argv])

@@ -4,8 +4,8 @@ Each reference below is the plain definition, kept only here:
 
 - `conv_necset` mixes only the generator pairs that `minkowski_vertices`
   keeps; the reference mixes every pair and puts the products in normal form.
-- `conv_dist` merges two sorted entry lists; the reference re-canonicalizes
-  the scaled entries with `from_pairs`.
+- `conv_dist` mixes the integer numerators of both distributions; the
+  reference re-canonicalizes the scaled `Fraction` entries with `from_pairs`.
 - `mix_necsets` sums point images into one translation, merges equal sets
   and folds the rest; the reference is the barycenter of the distribution
   over sets that `map_dist` builds, folded by `convn`.
@@ -216,11 +216,11 @@ def test_mix_necsets_matches_barycenter_of_mapped_dist():
                     weights = [Fraction(r, sum(raw)) for r in raw]
                 d = from_pairs(zip(range(n), weights))
                 want = barycenter(map_dist(images.__getitem__, d), NECSET_INSTANCE)
-                got = mix_necsets([(w, images[a]) for a, w in d.entries])
+                got = mix_necsets(list(zip(d.nums, map(images.__getitem__, d.outcomes))))
                 assert got.generators == want.generators, (kind, images, weights)
     x = _image(rng, False)
-    assert mix_necsets([(Fraction(1), x)]) is x
-    assert mix_necsets([(Fraction(1, 3), x), (Fraction(2, 3), x)]) is x
+    assert mix_necsets([(1, x)]) is x
+    assert mix_necsets([(1, x), (2, x)]) is x
 
 
 def test_equal_dists_hash_equal_by_every_route():

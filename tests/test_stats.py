@@ -1,4 +1,4 @@
-"""The opt-in LP and canonicalization counters and the `--stats` flag."""
+"""The opt-in LP, canonicalization and `from_pairs` counters and the `--stats` flag."""
 
 import io
 from fractions import Fraction
@@ -22,18 +22,22 @@ def test_counters_are_off_by_default_and_count_when_on():
     stats.stop()
     assert in_hull(query, gens)  # one LP, not counted
     canonicalize(gens + [query])  # one LP, not counted
+    from_pairs([("a", Fraction(1))])  # not counted
     assert stats.snapshot() == {
         "lp_calls": 0, "pivots": 0, "canonicalize_calls": 0, "gens_in": 0, "gens_out": 0,
+        "from_pairs_calls": 0,
     }
     stats.start()
     try:
         assert in_hull(query, gens)
         # one call: four generators and a duplicate in, the three extreme ones out
         assert canonicalize(gens + [query, point("a")]) == gens
+        assert from_pairs([("a", Fraction(1, 2)), ("a", Fraction(1, 2))]) == gens[0]
     finally:
         stats.stop()
     assert stats.lp_calls == 2 and stats.pivots >= 2
     assert (stats.canonicalize_calls, stats.gens_in, stats.gens_out) == (1, 5, 3)
+    assert stats.from_pairs_calls == 1
 
 
 def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
@@ -46,8 +50,11 @@ def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
         lines.append(_stats_line(out.err))
     assert lines[0] == lines[1]
     counts = dict(part.split("=") for part in lines[0][len("stats: "):].split())
-    assert set(counts) == {"lp_calls", "pivots", "canonicalize_calls", "gens_in", "gens_out"}
+    assert set(counts) == {
+        "lp_calls", "pivots", "canonicalize_calls", "gens_in", "gens_out", "from_pairs_calls",
+    }
     assert int(counts["lp_calls"]) > 0 and int(counts["pivots"]) >= int(counts["lp_calls"])
+    assert int(counts["from_pairs_calls"]) > 0  # the law generators build from Fractions
     assert not stats.enabled
 
 
@@ -61,13 +68,14 @@ def test_eval_stats_line_leaves_stdout_alone(capsys, monkeypatch):
     counted = capsys.readouterr()
     assert counted.out == plain.out and plain.err == ""
     assert _stats_line(counted.err) == (
-        "stats: lp_calls=0 pivots=0 canonicalize_calls=2 gens_in=4 gens_out=4"
+        "stats: lp_calls=0 pivots=0 canonicalize_calls=2 gens_in=4 gens_out=4 from_pairs_calls=0"
     )
 
 
 def test_eval_stats_of_the_k8_program(capsys, monkeypatch):
     # the rest after y does not read y, so it is evaluated once per x, not per (x, y):
-    # 26 canonicalizations of 168 generators (138 of 1064 when evaluated per pair)
+    # 26 canonicalizations of 168 generators (138 of 1064 when evaluated per pair);
+    # evaluation builds every distribution from integer weights, with no `from_pairs`
     values = ", ".join(str(i) for i in range(8))
     program = (
         f"do x <- arbitrary 0 [{values}]; do y <- uniform 0 [{values}]; "
@@ -76,5 +84,5 @@ def test_eval_stats_of_the_k8_program(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(program))
     assert cli_main(["eval", "-", "--stats"]) == 0
     assert _stats_line(capsys.readouterr().err) == (
-        "stats: lp_calls=0 pivots=0 canonicalize_calls=26 gens_in=168 gens_out=106"
+        "stats: lp_calls=0 pivots=0 canonicalize_calls=26 gens_in=168 gens_out=106 from_pairs_calls=0"
     )
