@@ -10,9 +10,11 @@ generators (kept once per form, compared as integers).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
 presolve, no artificial columns, the largest reduced cost until the first
 degenerate pivot and Bland's rule after it, so it terminates, and an early
-stop once the artificial sum is 0.  Every sign test is exact, so it needs no
-tolerance.  `in_hull` builds a form for one query; a `NECSet` keeps the form
-of its generators for all of its queries.
+stop once the artificial sum is 0.  Its rows are integer-preserving (Edmonds
+1967, Bareiss 1968): all of them share one denominator, the last pivot, so a
+pivot updates a row with one exact division and no gcd.  Every sign test is
+exact, so it needs no tolerance.  `in_hull` builds a form for one query; a
+`NECSet` keeps the form of its generators for all of its queries.
 
 `minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
 from their extreme points, with the same pivot loop on a Gordan system per
@@ -180,13 +182,6 @@ class HullForm:
         return _simplex_feasible(self.columns, row)
 
 
-def _eliminate(row: List[int], pivot_row: List[int], piv: int, f: int) -> List[int]:
-    """`row` with its entry in the pivot column cleared, divided by its gcd."""
-    row = [a * piv - f * b for a, b in zip(row, pivot_row)]
-    g = math.gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
 def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     """Phase-1 simplex: is there x >= 0 with sum_j x_j * columns[j] = rhs?
 
@@ -200,8 +195,8 @@ def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> b
     """
     zero = [i for i, r in enumerate(rhs) if not r]
     columns = [col for col in columns if not any(col[i] for i in zero)]
-    tab = [[col[i] for col in columns] + [r] for i, r in enumerate(rhs) if r]
-    return _pivot_feasible(tab, len(columns))
+    rows = zip(*columns) if columns else itertools.repeat(())
+    return _pivot_feasible([[*row, r] for row, r in zip(rows, rhs) if r], len(columns))
 
 
 def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
@@ -225,16 +220,23 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
     index.  Until the switch every pivot strictly lowers the artificial sum,
     so no basis repeats; after it, Bland's rule guarantees termination.
 
-    Rows are kept as integer vectors with an implicit positive denominator:
-    ratio tests compare by cross-multiplication and pivots multiply through
-    by the (positive) pivot entry, so every sign test is exact and no
-    rational arithmetic is needed in the loop.  The pivots are counted in a
-    local and reported once per LP to `stats` when counting is on.
+    Rows are integer-preserving (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
+    Math. Comp. 22, 1968): the tableau and the objective row are integers over
+    one common denominator `den`, 1 at first and the pivot entry after each
+    pivot.  The pivot row stays; every other row, with entry f in the pivot
+    column, becomes (a * piv - f * b) // den, only a rescale when f = 0.  By
+    Sylvester's identity each division is exact: `den` is the determinant of
+    the basis and every entry a minor of [columns | rhs | I], so entries stay
+    bounded with no gcd per row.  Pivot entries are positive, so `den` is, and
+    each sign test, argmax and cross-multiplied ratio test reads as it would
+    over the rationals.  The pivots are counted in a local and reported once
+    per LP to `stats` when counting is on.
     """
-    obj = [sum(row[j] for row in tab) for j in range(n + 1)]
+    obj = [*map(sum, zip(*tab))] or [0]  # an empty tableau is feasible
     basis = list(range(n, n + len(tab)))  # artificials get indices past the columns
     bland = False
     pivots = 0
+    den = 1
     while obj[-1]:
         enter = max(range(n), key=obj.__getitem__, default=None)
         if enter is None or obj[enter] <= 0:
@@ -258,9 +260,15 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
         piv = pivot_row[enter]
         bland = bland or not pivot_row[-1]
         for i, row in enumerate(tab):
-            if i != leave and row[enter]:
-                tab[i] = _eliminate(row, pivot_row, piv, row[enter])
-        obj = _eliminate(obj, pivot_row, piv, obj[enter])
+            if i != leave:
+                f = row[enter]
+                if f:
+                    tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
+                elif piv != den:
+                    tab[i] = [a * piv // den for a in row]
+        f = obj[enter]
+        obj = [(a * piv - f * b) // den for a, b in zip(obj, pivot_row)]
+        den = piv
         basis[leave] = enter
         pivots += 1
     if stats.enabled:
@@ -320,8 +328,7 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
             columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if b != j]
             columns = _unforced(columns)
             if columns:
-                tab = [[col[r] for col in columns] + [0] for r in range(len(index))]
-                tab = [row for row in tab if any(row)]
+                tab = [[*row, 0] for row in zip(*columns) if any(row)]
                 tab.append([1] * (len(columns) + 1))  # sum lambda + sum mu = 1
                 if _pivot_feasible(tab, len(columns)):
                     continue

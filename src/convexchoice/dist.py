@@ -128,6 +128,9 @@ class Weight:
         return hash((self.n // g, self.d // g))
 
 
+_ONE = Weight(1, 1)  # the weight of every point mass, in every key
+
+
 class Dist(Keyed):
     """A canonical finitely-supported distribution: `outcomes` with weights `nums` / `den`.
 
@@ -157,7 +160,8 @@ class Dist(Keyed):
     @cached_attr
     def key(self) -> tuple:
         den = self.den
-        return (3, tuple(zip(self.okeys, [Weight(n, den) for n in self.nums])))
+        weights = [Weight(n, den) for n in self.nums] if den > 1 else [_ONE]  # a point mass
+        return (3, tuple(zip(self.okeys, weights)))
 
     @cached_attr
     def entries(self) -> Tuple[Entry, ...]:

@@ -29,11 +29,13 @@ from .convexgeom import (
 )
 from .dist import (
     Dist,
+    _normalized,
     bind_dist,
     compare_dist,
     conv_dist,
     from_pairs,
     map_dist,
+    outcome_key,
     point,
     render_outcome,
 )
@@ -132,12 +134,19 @@ def gen_prob(rng: Rng, cfg: GenConfig) -> Prob:
     return Prob(Fraction(rng.randint(0, den), den))
 
 
-def _gen_weights(rng: Rng, cfg: GenConfig, size: int) -> List[Fraction]:
-    # positive weights with denominator <= max_denominator, summing to 1
+def _gen_widths(rng: Rng, cfg: GenConfig, size: int) -> List[int]:
+    # positive integers summing to a denominator <= max_denominator
     den = rng.randint(size, cfg.max_denominator) if size <= cfg.max_denominator else size
     cuts = sorted(rng.sample(range(1, den), size - 1)) if size > 1 else []
     bounds = [0] + cuts + [den]
-    return [Fraction(b - a, den) for a, b in zip(bounds, bounds[1:])]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+def _gen_weights(rng: Rng, cfg: GenConfig, size: int) -> List[Fraction]:
+    # positive weights with denominator <= max_denominator, summing to 1
+    widths = _gen_widths(rng, cfg, size)
+    den = sum(widths)
+    return [Fraction(w, den) for w in widths]
 
 
 def gen_dist(
@@ -150,8 +159,8 @@ def gen_dist(
     cap = min(max_support or cfg.max_support, len(pool), cfg.max_denominator)
     size = rng.randint(1, cap)
     support = rng.sample(range(len(pool)), size)
-    weights = _gen_weights(rng, cfg, size)
-    return from_pairs((pool[i], w) for i, w in zip(support, weights))
+    widths = _gen_widths(rng, cfg, size)
+    return _normalized((outcome_key(pool[i]), pool[i], w) for i, w in zip(support, widths))
 
 
 def gen_gcm(

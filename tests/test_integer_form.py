@@ -98,6 +98,19 @@ def test_key_order_matches_the_fraction_key(seed):
     assert point(True).key != point(1).key and point(True).key < point(1).key
 
 
+def test_point_masses_share_one_weight():
+    masses = [point(x) for x in ATOMS] + [Dist((("a", Fraction(1)),)), from_pairs([("b", Fraction(1))])]
+    masses.append(point(from_generators([point(1), masses[-1]])))
+    assert len({id(w) for d in masses for _, w in d.key[1]}) == 1
+    values = masses + [from_pairs([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])]
+    for x, y in combinations(values, 2):
+        new, old = (x.key, y.key), (_old_key(x), _old_key(y))
+        assert (new[0] < new[1], new[0] > new[1], new[0] == new[1]) == (
+            old[0] < old[1], old[0] > old[1], old[0] == old[1]
+        ), (x, y)
+    assert point("a") == masses[-3] and hash(point("a")) == hash(masses[-3])
+
+
 def test_weight_matches_fraction_on_random_pairs():
     assert {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"} <= set(vars(Weight))
     rng = random.Random(4)

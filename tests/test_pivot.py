@@ -1,0 +1,207 @@
+"""The pivot loop of the exact simplex against a reference, and its pinned counts.
+
+`_reference_pivot_feasible` is the loop as it was before it kept one common
+denominator: each row was cleared by multiplying through and then divided by
+its own gcd.  Every row then differs from the common-denominator row only by
+a positive factor, so both must make the same pivots and give the same
+answer.  The consumed tableau is checked as well: after the last pivot it
+must be D times B^-1 [columns | rhs], where B holds the original columns of
+the final basis (unit columns for artificials) and D = det(B) > 0 is the
+last pivot, so every entry is a determinant of the input and stays bounded.
+
+The pinned counts are the LPs and pivots of fixed seeded work; any change to
+the pivot path moves them.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from convexchoice import convexgeom, stats
+from convexchoice.dist import from_pairs
+from convexchoice.laws import GenConfig, check_all
+from convexchoice.necset import from_generators, member
+
+
+def _reference_pivot_feasible(tab, n):
+    """(answer, pivots, basis) of the gcd-normalized pivot loop; `tab` is consumed."""
+
+    def eliminate(row, pivot_row, piv, f):
+        row = [a * piv - f * b for a, b in zip(row, pivot_row)]
+        g = math.gcd(*row)
+        return [a // g for a in row] if g > 1 else row
+
+    obj = [sum(row[j] for row in tab) for j in range(n + 1)]
+    basis = list(range(n, n + len(tab)))
+    bland = False
+    pivots = 0
+    while obj[-1]:
+        enter = max(range(n), key=obj.__getitem__, default=None)
+        if enter is None or obj[enter] <= 0:
+            break
+        if bland:
+            enter = next(j for j in range(n) if obj[j] > 0)
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                else:
+                    lhs = row[-1] * tab[leave][enter]
+                    rhs_cmp = tab[leave][-1] * a
+                    if lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave]):
+                        leave = i
+        pivot_row = tab[leave]
+        piv = pivot_row[enter]
+        bland = bland or not pivot_row[-1]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter]:
+                tab[i] = eliminate(row, pivot_row, piv, row[enter])
+        obj = eliminate(obj, pivot_row, piv, obj[enter])
+        basis[leave] = enter
+        pivots += 1
+    return not obj[-1], pivots, basis
+
+
+def _reference_simplex_feasible(columns, rhs):
+    """The presolve of `_simplex_feasible`, then the reference loop: (answer, pivots)."""
+    zero = [i for i, r in enumerate(rhs) if not r]
+    columns = [col for col in columns if not any(col[i] for i in zero)]
+    tab = [[col[i] for col in columns] + [r] for i, r in enumerate(rhs) if r]
+    return _reference_pivot_feasible(tab, len(columns))[:2]
+
+
+def _counted(fn, *args):
+    """`fn(*args)` with its (lp_calls, pivots)."""
+    stats.start()
+    try:
+        return fn(*args), (stats.lp_calls, stats.pivots)
+    finally:
+        stats.stop()
+
+
+def _det(matrix):
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _check_common_denominator(original, final, basis, n):
+    """`final` is det(B) * B^-1 `original`, with det(B) > 0 for the final basis B."""
+    m = len(original)
+    # column i of B is the original column of the variable basic in row i
+    b = [[original[r][j] if j < n else int(r == j - n) for j in basis] for r in range(m)]
+    den = _det(b)
+    assert den > 0 and den.denominator == 1
+    for r in range(m):
+        for c in range(n + 1):
+            assert sum(b[r][i] * final[i][c] for i in range(m)) == den * original[r][c]
+    for i, j in enumerate(basis):
+        if j < n:
+            assert final[i][j] == den  # a basic column is D times a unit column
+
+
+def _mixed_tableau(rng):
+    m, n = rng.randint(1, 5), rng.randint(0, 7)
+    tab = [[rng.randint(-3, 3) for _ in range(n)] + [rng.randint(0, 4)] for _ in range(m)]
+    if rng.random() < 0.3:
+        for row in rng.sample(tab, rng.randint(1, m)):
+            row[-1] = 0
+    return tab, n
+
+
+def _degenerate_tableau(rng):
+    """A right-hand side that is a nonnegative combination of few columns: feasible."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    cols = [[rng.randint(-2, 3) for _ in range(m)] for _ in range(n)]
+    x = [0] * n
+    for j in rng.sample(range(n), rng.randint(1, min(2, n))):
+        x[j] = rng.randint(0, 2)
+    rhs = [sum(c[r] * v for c, v in zip(cols, x)) for r in range(m)]
+    tab = [[c[r] for c in cols] + [rhs[r]] for r in range(m)]
+    return [row if row[-1] >= 0 else [-a for a in row] for row in tab], n
+
+
+def _gordan_tableau(rng):
+    """A Gordan system as `minkowski_vertices` builds it: rhs 0 and an all-ones row."""
+    m, n = rng.randint(1, 4), rng.randint(1, 7)
+    tab = [[rng.randint(-3, 3) for _ in range(n)] + [0] for _ in range(m)]
+    return [row for row in tab if any(row)] + [[1] * (n + 1)], n
+
+
+def test_pivot_loop_matches_the_gcd_normalized_reference():
+    rng = random.Random(12)
+    cases = [([], 0), ([], 3), ([[0]], 0), ([[2]], 0), ([[0, 0, 0]], 2), ([[1, 1]], 1)]
+    makers = [_mixed_tableau, _degenerate_tableau, _gordan_tableau]
+    cases += [rng.choice(makers)(rng) for _ in range(6000)]
+    seen = {"feasible": 0, "infeasible": 0, "degenerate": 0}
+    most_pivots = 0
+    for tab, n in cases:
+        want, want_pivots, basis = _reference_pivot_feasible([row[:] for row in tab], n)
+        final = [row[:] for row in tab]
+        got, counts = _counted(convexgeom._pivot_feasible, final, n)
+        assert (got, counts) == (want, (1, want_pivots)), (tab, n)
+        _check_common_denominator(tab, final, basis, n)
+        seen["feasible" if want else "infeasible"] += 1
+        seen["degenerate"] += any(not row[-1] for row in tab) and want_pivots > 0
+        most_pivots = max(most_pivots, want_pivots)
+    assert min(seen.values()) > 500 and most_pivots >= 8, (seen, most_pivots)
+
+
+def test_simplex_feasible_matches_the_reference_presolve():
+    rng = random.Random(13)
+    cases = [([[1, 0]], [0, 0]), ([], [0, 0]), ([], [1, 0]), ([[0, 0]], [0, 0]), ([[0, 0]], [0, 1])]
+    for _ in range(2000):
+        m, n = rng.randint(1, 5), rng.randint(0, 6)
+        columns = [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        rhs = [rng.randint(0, 4) if rng.random() < 0.7 else 0 for _ in range(m)]
+        cases.append((columns, rhs))
+    for columns, rhs in cases:
+        want, want_pivots = _reference_simplex_feasible(columns, rhs)
+        assert _counted(convexgeom._simplex_feasible, columns, rhs) == (want, (1, want_pivots))
+    # an empty tableau is feasible, with or without columns left
+    assert convexgeom._simplex_feasible([[1, 0]], [0, 0]) is True
+    assert convexgeom._simplex_feasible([[0, 0]], [0, 0]) is True
+    assert convexgeom._simplex_feasible([], [1, 0]) is False
+
+
+def test_law_suite_lp_counts_are_pinned():
+    _, counts = _counted(check_all, GenConfig(trials=10, seed=42))
+    assert counts == (1064, 3275)
+
+
+def _random_dist(rng, d):
+    w = [rng.randint(1, 12) for _ in range(d)]
+    return from_pairs((k, Fraction(x, sum(w))) for k, x in enumerate(w))
+
+
+def test_member_lp_counts_on_a_seeded_hull_are_pinned():
+    rng = random.Random(5)
+    hull, counts = _counted(from_generators, [_random_dist(rng, 8) for _ in range(32)])
+    assert (len(hull.generators), counts) == (31, (18, 162))
+    gens = hull.generators
+    queries = []
+    for q in range(40):
+        if q % 2:
+            queries.append(_random_dist(rng, 8))
+        else:
+            picked = rng.sample(gens, rng.randint(2, 4))
+            w = [rng.randint(1, 6) for _ in picked]
+            queries.append(from_pairs(
+                (k, Fraction(wi, sum(w)) * p) for g, wi in zip(picked, w) for k, p in g.entries
+            ))
+    answers, counts = _counted(lambda: [member(x, hull) for x in queries])
+    assert all(answers[::2]) and sum(answers) == 21
+    assert counts == (34, 324)
