@@ -309,18 +309,17 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
     A singleton list keeps every pair.  Otherwise, by Gordan's theorem, no
     such c exists exactly when some lambda, mu >= 0 with sum lambda + sum mu
     = 1 have sum_a lambda_a (x_a - x_i) + sum_b mu_b (y_b - y_j) = 0.  All
-    points are put in integer coordinates over one common denominator, so the
-    differences are integer columns.  `_unforced` first drops the columns
-    that a single-signed coordinate forces to 0; when none are left the pair
-    is kept with no LP (this covers xs[i] and ys[j] being the unique maximum,
-    or both the unique minimum, of one coordinate), and otherwise one LP over
-    the columns left decides it.
+    points are read from the rows of one `HullForm` of both lists, integers
+    over its common scale, so the differences are integer columns.
+    `_unforced` first drops the columns that a single-signed coordinate
+    forces to 0; when none are left the pair is kept with no LP (this covers
+    xs[i] and ys[j] being the unique maximum, or both the unique minimum, of
+    one coordinate), and otherwise one LP over the columns left decides it.
     """
     if len(xs) == 1 or len(ys) == 1:
         return [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-    index = _coordinate_index([*xs, *ys])
-    scale = math.lcm(*(g.den for g in (*xs, *ys)))
-    xc, yc = ([[v * (scale // g.den) for v in _int_coords(g, index)] for g in gs] for gs in (xs, ys))
+    points = list(zip(*HullForm([*xs, *ys]).rows[1]))
+    xc, yc = points[: len(xs)], points[len(xs) :]
     kept = []
     for i, xi in enumerate(xc):
         for j, yj in enumerate(yc):

@@ -110,14 +110,3 @@ def render_rational(x: Union[Fraction, int], den: int = 1) -> str:
         return _decimal(num // g)
     return f"{_decimal(num // g)}/{_decimal(den // g)}"
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse `a/b`, a bare integer, or a finite decimal literal, exactly."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProbError(f"cannot parse rational: {text!r}") from exc
-
-
-def parse_prob(text: str) -> Prob:
-    return Prob(parse_rational(text))

@@ -33,14 +33,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .dist import (
     Dist,
     Outcome,
-    cached_attr,
     mix_dists,
     outcome_key,
     point,
@@ -125,37 +123,15 @@ class Alt:
 
 @dataclass(frozen=True)
 class Bind:
+    """`do var <- bound; body`.  `used` is False when no variable in `body`
+    resolves to this binder; the parser sets it, and a hand-built node keeps
+    the default True, which the evaluator treats as read."""
+
     var: str
     bound: "Expr"
     body: "Expr"
     pos: Pos = field(default=_NOPOS, compare=False, repr=False)
-
-    @cached_attr
-    def rest_reads(self) -> Tuple[Optional[Tuple[int, ...]], ...]:
-        """For the `do` sequence headed here, per binder depth i: the depths
-        of the binders, among the first i + 1, whose values the rest after
-        binder i reads, or None where it reads all of them.  The free
-        variables of each rest are found from the last binder back: the rest
-        after binder i - 1 is binder i's bound expression and, outside binder
-        i's variable, the rest after binder i."""
-        binders = []
-        e: Expr = self
-        while isinstance(e, Bind):
-            binders.append(e)
-            e = e.body
-        free = free_vars(e)
-        frees = []
-        for node in reversed(binders):
-            frees.append(free)
-            free = free_vars(node.bound) | (free - {node.var})
-        frees.reverse()
-        reads = []
-        nearest: Dict[str, int] = {}  # name -> depth of its innermost binder so far
-        for depth, (node, free) in enumerate(zip(binders, frees)):
-            nearest[node.var] = depth
-            read = tuple(sorted(nearest[name] for name in free if name in nearest))
-            reads.append(None if len(read) == depth + 1 else read)
-        return tuple(reads)
+    used: bool = field(default=True, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -246,7 +222,8 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.depth = 0
-        self.scope: Counter[str] = Counter()  # name -> enclosing binders of it
+        # name -> whether each enclosing binder of it is read so far, innermost last
+        self.scope: Dict[str, List[bool]] = {}
         self.unbound: Optional[SourceError] = None  # the first, in source order
 
     def peek(self) -> _Token:
@@ -290,7 +267,8 @@ class _Parser:
     def parse_expr(self) -> Expr:
         # A `do` sequence is read in a loop and its binders are nested from the
         # last one back, so a long sequence does not recurse.  Each variable is
-        # in scope from the end of its bound expression to the end of this one.
+        # in scope from the end of its bound expression to the end of this one,
+        # and its binder is marked read when a variable resolves to it there.
         heads = []
         scope = self.scope
         while self.peek().kind == "DO":
@@ -299,12 +277,11 @@ class _Parser:
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
-            scope[var] += 1
+            scope.setdefault(var, []).append(False)
             heads.append((var, bound, tok.pos))
         expr = self.parse_alt()
         for var, bound, pos in reversed(heads):
-            expr = Bind(var, bound, expr, pos=pos)
-            scope[var] -= 1
+            expr = Bind(var, bound, expr, pos=pos, used=scope[var].pop())
         return expr
 
     def parse_alt(self) -> Expr:
@@ -379,7 +356,10 @@ class _Parser:
             return Lit(tok.text, pos=tok.pos)
         if tok.kind == "VAR":
             self.next()
-            if self.unbound is None and not self.scope[tok.text]:
+            reads = self.scope.get(tok.text)
+            if reads:
+                reads[-1] = True
+            elif self.unbound is None:
                 msg = f"unbound variable {_quote(tok.text)}"
                 self.unbound = SourceError("unbound-variable", *tok.pos, msg)
             return Var(tok.text, pos=tok.pos)
@@ -530,48 +510,16 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_vars(e: Union[Expr, ValueExpr]) -> Set[str]:
-    """The variables `e` reads that no binder inside `e` binds.
-
-    The tree is walked on an explicit stack, so deep chains do not recurse.
-    A binder's variable is in scope in its body, not in its bound expression.
-    """
-    free: Set[str] = set()
-    scope: Counter[str] = Counter()  # name -> binders of it around the node
-    todo: list = [e]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Var):
-            if not scope[e.name]:
-                free.add(e.name)
-        elif isinstance(e, Bind):
-            # popped in reverse: bound, enter the scope, body, leave it
-            todo += [(e.var, -1), e.body, (e.var, 1), e.bound]
-        elif isinstance(e, tuple):
-            scope[e[0]] += e[1]
-        elif isinstance(e, Ret):
-            todo.append(e.value)
-        elif isinstance(e, (Choice, Alt, Eq)):
-            todo += [e.right, e.left]
-        elif isinstance(e, (Uniform, Arbitrary)):
-            todo += [*reversed(e.items), e.default]
-    return free
-
-
 class _Level:
-    """One binder of a `do` sequence in evaluation: its bound value, the
+    """A binder of a `do` sequence in evaluation that binds several values:
+    the node, the environment it was evaluated in, its bound value, the
     distinct values to bind (in order of first appearance across the
-    generators), and the value of the rest of the sequence for each so far.
+    generators) and the value of the rest of the sequence for each so far."""
 
-    `memo`, shared by the levels at this depth in one `_eval_do` call, maps
-    the keys of the values the rest reads to its value, and `pending` is the
-    key of the rest being evaluated; `memo` is None where none is kept.
-    """
+    __slots__ = ("node", "env", "bound", "keys", "values", "results")
 
-    __slots__ = ("var", "env", "bound", "keys", "values", "results", "memo", "pending")
-
-    def __init__(self, var: str, env: Dict[str, Outcome], bound: GcmVal) -> None:
-        self.var, self.env, self.bound = var, env, bound
+    def __init__(self, node: Bind, env: Dict[str, Outcome], bound: GcmVal) -> None:
+        self.node, self.env, self.bound = node, env, bound
         distinct = {}
         for d in bound.generators:
             for a in d.support():
@@ -579,70 +527,47 @@ class _Level:
         self.keys = list(distinct)
         self.values = list(distinct.values())
         self.results: List[GcmVal] = []
-        self.memo: Optional[Dict[tuple, GcmVal]] = None
-
-    def add(self, value: GcmVal) -> None:
-        """Record the value of the rest for the current bound value."""
-        if self.memo is not None:
-            self.memo[self.pending] = value
-        self.results.append(value)
 
 
 def _eval_do(e: Bind, env: Dict[str, Outcome]) -> GcmVal:
     """A `do` sequence, on an explicit stack of binders instead of Python frames.
 
-    The rest after each binder is evaluated once per distinct value of the
-    sequence variables it reads, as its value depends on nothing else (`env`
-    is fixed during the call); other bound values take the stored result.
-    Misses come in the order in which `bind_gcm` would first call the
-    continuation on each bound value, so the first error raised is the same,
-    and only values that returned are stored.  `bind_gcm` then reads one
-    result per distinct bound value.  `Bind.rest_reads` is looked up only
-    once a binder has bound more than one value: until then no rest repeats.
+    Each bound expression is evaluated, in order, and its binder settled by
+    one of three rules:
+
+    - one outcome: the bound value is `ret a`, so `a` is bound in place
+      (left unit, `bind (ret a) k = k a`);
+    - unread (`Bind.used` is False): it binds nothing, since a value is a
+      non-empty set of total distributions and so `m >> n = n`;
+    - otherwise the rest is evaluated once per distinct bound value, in the
+      order in which `bind_gcm` first calls its continuation on each, so the
+      first error raised is the one nested binds raise; `bind_gcm` then reads
+      one result per distinct value.
     """
-    head = e
-    binders = []
-    while isinstance(e, Bind):
-        binders.append(e)
-        e = e.body
-    body = e
-    reads: Optional[Tuple[Optional[Tuple[int, ...]], ...]] = None
     stack: List[_Level] = []
-    node: Optional[Bind] = head
-    inner = env
     while True:
-        if node is not None:
-            level = _Level(node.var, inner, eval_expr(node.bound, inner))
-            if reads is None and len(level.values) > 1:
-                reads = head.rest_reads
-                memos = [None if read is None else {} for read in reads]
-            if reads is not None:
-                level.memo = memos[len(stack)]
-            stack.append(level)
-            node = None
-        level = stack[-1]
-        done = len(level.results)
-        if done < len(level.values):
-            depth = len(stack) - 1
-            if level.memo is not None:
-                key = tuple(stack[j].keys[len(stack[j].results)] for j in reads[depth])
-                value = level.memo.get(key)
-                if value is not None:
-                    level.results.append(value)
-                    continue
-                level.pending = key
-            inner = {**level.env, level.var: level.values[done]}
-            if depth + 1 == len(binders):
-                level.add(eval_expr(body, inner))
-            else:
-                node = binders[depth + 1]
-            continue
-        stack.pop()
-        table = dict(zip(level.keys, level.results))
-        value = bind_gcm(level.bound, lambda a: table[outcome_key(a)])
-        if not stack:
+        while isinstance(e, Bind):
+            bound = eval_expr(e.bound, env)
+            if e.used:
+                level = _Level(e, env, bound)
+                if len(level.values) > 1:
+                    stack.append(level)
+                env = {**env, e.var: level.values[0]}
+            e = e.body
+        value = eval_expr(e, env)
+        while stack:
+            level = stack[-1]
+            level.results.append(value)
+            done = len(level.results)
+            if done < len(level.values):
+                env = {**level.env, level.node.var: level.values[done]}
+                e = level.node.body
+                break
+            stack.pop()
+            table = dict(zip(level.keys, level.results))
+            value = bind_gcm(level.bound, lambda a: table[outcome_key(a)])
+        else:
             return value
-        stack[-1].add(value)
 
 
 def run(text: str) -> GcmVal:

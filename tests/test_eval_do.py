@@ -1,9 +1,11 @@
-"""`do` sequences evaluate their rest once per distinct value of what it reads.
+"""`do` sequences are settled by the monad laws where one applies.
 
-The reference evaluator below is the plain definition: nested `bind_gcm`
-calls whose continuations recurse, with no memo, so the rest of a sequence
-is evaluated once per entry of every generator.  `eval_expr` must give the
-same value, or raise the same first error, on every program.
+A binder whose bound value is `ret a` binds `a` in place, one that the parser
+marks unread binds nothing, and any other evaluates the rest of the sequence
+once per distinct bound value.  The reference evaluator below is the plain
+definition: nested `bind_gcm` calls whose continuations recurse, so the rest
+of a sequence is evaluated once per entry of every generator.  `eval_expr`
+must give the same value, or raise the same first error, on every program.
 """
 
 import random
@@ -17,13 +19,15 @@ from convexchoice.programs import (
     Arbitrary,
     Bind,
     Choice,
+    Eq,
+    Lit,
     Ret,
     SourceError,
     Uniform,
+    Var,
     arbitrary,
     eval_expr,
     eval_value,
-    free_vars,
     parse,
     render,
     render_expr,
@@ -70,43 +74,18 @@ def _outcome(evaluate, ast):
         return ("error", exc.kind, exc.line, exc.column, exc.message)
 
 
-def _count_memo_hits(monkeypatch):
-    """Lists of the levels built and of the values they stored; a value of
-    the rest that a level took from its memo is one it holds but never stored."""
-    levels, stored = [], []
-
-    class Counting(programs._Level):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            levels.append(self)
-
-        def add(self, value):
-            stored.append(value)
-            super().add(value)
-
-    monkeypatch.setattr(programs, "_Level", Counting)
-    return levels, stored
-
-
-def test_eval_agrees_with_the_reference_evaluator(monkeypatch):
-    levels, stored = _count_memo_hits(monkeypatch)
+def test_eval_agrees_with_the_reference_evaluator():
     rng = random.Random(1010)
-    kinds, with_hits = [], 0
+    kinds = []
     for i in range(600):
         e = _gen_sequence(rng) if i % 2 else _gen_expr(rng, frozenset(), rng.randint(1, 4))
         # through the printer and parser, so errors carry positions
         ast = parse(render_expr(e))
-        levels.clear()
-        stored.clear()
         got = _outcome(lambda e: eval_expr(e, {}), ast)
-        with_hits += sum(len(level.results) for level in levels) > len(stored)
         want = _outcome(lambda e: _reference(e, {}), ast)
         assert got == want, render_expr(ast)
         kinds.append(got[0])
     assert kinds.count("ok") > 300 and kinds.count("error") > 100
-    assert with_hits > 80  # the memo answered in many of them
 
 
 @pytest.mark.parametrize(
@@ -169,29 +148,69 @@ def test_k8_program_builds_one_ret_per_pair_it_reads(monkeypatch):
     assert got == _reference(ast, {})
 
 
-def test_rest_reads_is_worked_out_once_and_only_when_needed(monkeypatch):
-    walked = []
-    monkeypatch.setattr(programs, "free_vars", lambda e: walked.append(e) or free_vars(e))
-    single = parse("do x <- ret 1; do y <- ret x; ret (x == y)")
-    assert render(eval_expr(single)) == "{true: 1}"
-    assert walked == [] and "rest_reads" not in vars(single)
-    several = parse("do x <- ret 1; do y <- arbitrary 0 [1, 2]; do z <- ret x; ret z")
-    assert render(eval_expr(several)) == "{1: 1}"
-    assert len(walked) == 4  # the body and each bound expression, once
-    assert render(eval_expr(several)) == "{1: 1}"
-    assert len(walked) == 4
-    # the rest after x reads x, which is every binder so far, so it keeps no
-    # memo; the rest after y reads x through z's bound; the last reads z
-    assert several.rest_reads == (None, (0,), (2,))
+def test_hand_built_bind_is_read_by_default():
+    y = Bind("y", Uniform(Lit(0), (Lit(3), Lit(4))), Ret(Var("x")))
+    e = Bind("x", Arbitrary(Lit(0), (Lit(1), Lit(2))), y)
+    assert e.used and y.used
+    assert render(eval_expr(e)) == "{1: 1}\n{2: 1}"
+    assert eval_expr(e) == _reference(e, {})
 
 
-def test_free_vars():
-    cases = {
-        "ret 1": set(),
-        "ret (x == y)": {"x", "y"},
-        "do x <- ret x; ret (x == y)": {"x", "y"},
-        "(do x <- ret 0; ret x) [~] ret x": {"x"},
-        "uniform a [b, (c == d)] <|1/2|> arbitrary e []": {"a", "b", "c", "d", "e"},
+def test_unread_binder_still_raises_the_errors_of_its_bound():
+    with pytest.raises(SourceError) as exc:
+        run("do y <- ret (1 == true); ret 0")
+    assert str(exc.value) == "line 1, col 13: type: cannot compare 1 and true"
+
+
+def _free_vars(e):
+    """The variables `e` reads that no binder inside it binds; a binder's
+    variable is in scope in its body, not in its bound expression."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Lit):
+        return set()
+    if isinstance(e, Bind):
+        return _free_vars(e.bound) | (_free_vars(e.body) - {e.var})
+    if isinstance(e, Ret):
+        return _free_vars(e.value)
+    if isinstance(e, (Choice, Alt, Eq)):
+        return _free_vars(e.left) | _free_vars(e.right)
+    return set().union(_free_vars(e.default), *map(_free_vars, e.items))
+
+
+def _binders(e):
+    if isinstance(e, Bind):
+        yield e
+        yield from _binders(e.bound)
+        yield from _binders(e.body)
+    elif isinstance(e, (Choice, Alt)):
+        yield from _binders(e.left)
+        yield from _binders(e.right)
+
+
+def test_parser_marks_a_binder_read_exactly_when_its_body_reads_its_variable():
+    hand = {
+        # shadowing: the inner x is read, the outer one is not
+        "do x <- ret 1; do x <- ret true; ret x": [False, True],
+        # a bound that reads the outer variable of its own name
+        "do x <- ret 1; do x <- ret (x == 1); ret 0": [True, False],
+        # a nested do, read through and shadowed inside an operand
+        "do x <- ret 1; (do x <- ret 0; ret x) [~] ret 2": [False, True],
+        "do x <- ret 1; do y <- ret 2; (do z <- ret x; ret z) <|1/2|> ret 0": [True, False, True],
+        # value lists and ==
+        "do a <- ret 1; do b <- ret 2; uniform a [0, (b == 2)]": [True, True],
+        "do a <- ret 1; do b <- ret 2; arbitrary 0 [(1 == a)]": [True, False],
     }
-    for source, want in cases.items():
-        assert free_vars(programs._Parser(programs._tokenize(source)).parse_expr()) == want
+    for source, want in hand.items():
+        binders = list(_binders(parse(source)))
+        assert [b.used for b in binders] == want, source
+        assert [b.used for b in binders] == [b.var in _free_vars(b.body) for b in binders]
+    rng = random.Random(1212)
+    read = unread = 0
+    for i in range(400):
+        e = _gen_sequence(rng) if i % 2 else _gen_expr(rng, frozenset(), rng.randint(1, 4))
+        for b in _binders(parse(render_expr(e))):
+            assert b.used == (b.var in _free_vars(b.body)), render_expr(b)
+            read += b.used
+            unread += not b.used
+    assert read > 200 and unread > 200

@@ -8,8 +8,6 @@ from convexchoice.prob import (
     Prob,
     ProbError,
     complement,
-    parse_prob,
-    parse_rational,
     prob_make,
     r_of,
     render_rational,
@@ -102,20 +100,6 @@ def test_render_rational():
     assert render_rational(Fraction(-big, 32)) == "-" + "987654321" * 600 + "/32"
 
 
-def test_parse_rational_forms():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("2") == Fraction(2)
-    assert parse_rational("0.25") == Fraction(1, 4)
-    with pytest.raises(ProbError):
-        parse_rational("x/y")
-
-
-def test_parse_prob_range_checked():
-    assert parse_prob("1/2") == prob_make(1, 2)
-    with pytest.raises(ProbError):
-        parse_prob("3/2")
-
-
 @given(probs)
 def test_render_parse_round_trip(p):
-    assert parse_prob(str(p)) == p
+    assert Prob(Fraction(str(p))) == p
