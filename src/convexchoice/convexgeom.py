@@ -22,7 +22,11 @@ generator pair; it backs probabilistic choice on sets.
 
 A brute-force Caratheodory enumeration (`in_hull_oracle`) serves as an
 independent oracle for the same question: it shares no code with the form or
-the simplex.  The two must agree and the test suite checks that they do.
+the simplex, so a fault in them cannot hide in it.  The two must agree and the
+test suite checks that they do.  It solves only the generator subsets whose
+supports could carry x (each inside x's support, together covering it): a
+positive combination is supported on the union of its members' supports, so
+the pruning changes no answer, only how many `Fraction` solves run.
 
 `canonicalize` keeps a list of distinct point masses as it is: they are
 vertices of the simplex, so no hull work is needed to find them extreme.
@@ -194,7 +198,8 @@ def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> b
     changed, so the columns a `HullForm` keeps can be passed as they are.
     """
     zero = [i for i, r in enumerate(rhs) if not r]
-    columns = [col for col in columns if not any(col[i] for i in zero)]
+    if zero:
+        columns = [col for col in columns if not any(col[i] for i in zero)]
     rows = zip(*columns) if columns else itertools.repeat(())
     return _pivot_feasible([[*row, r] for row, r in zip(rows, rhs) if r], len(columns))
 
@@ -385,22 +390,37 @@ def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]):
 
 
 def in_hull_oracle(x: Dist, generators: Sequence[Dist]) -> bool:
-    """Caratheodory enumeration: some subset of size <= dim+1 must carry x.
+    """Caratheodory enumeration over the generator subsets that could carry x.
 
-    Independent of the simplex path; intended for small instances only.
+    A nonnegative combination of distributions with positive coefficients
+    has exactly the union of their supports as its support.  So only
+    generators whose support lies inside x's take part, and a subset is
+    solved only when their supports together cover x's.  By Caratheodory, if
+    x is in the hull, some affinely independent subset carries it with
+    positive coefficients; it passes both tests and its system has a unique
+    solution.  Those generators live in the simplex over x's support, of
+    affine dimension |supp x| - 1, so no subset needs more than |supp x|
+    members.  Each subset, smallest first, gets one `Fraction` Gauss solve
+    and a sign check.
+
+    Independent of `HullForm` and the simplex, so it can check them;
+    intended for small instances only.
     """
     if not generators:
         raise ValueError("empty generator list")
     if any(g == x for g in generators):
         return True
-    basis = make_basis([x, *generators])
-    dim = len(basis)
+    support = frozenset(x.okeys)
+    supports = [frozenset(g.okeys) for g in generators]
+    inside = [j for j, s in enumerate(supports) if s <= support]
+    basis = make_basis([x])
     xv = list(vectorize(x, basis)) + [Fraction(1)]
-    vecs = [list(vectorize(g, basis)) + [Fraction(1)] for g in generators]
-    max_size = min(len(generators), dim + 1)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(range(len(generators)), size):
-            matrix = [[vecs[j][row] for j in subset] for row in range(dim + 1)]
+    vecs = {j: list(vectorize(generators[j], basis)) + [Fraction(1)] for j in inside}
+    for size in range(1, min(len(inside), len(basis)) + 1):
+        for subset in itertools.combinations(inside, size):
+            if frozenset().union(*(supports[j] for j in subset)) != support:
+                continue
+            matrix = [[vecs[j][row] for j in subset] for row in range(len(xv))]
             sol = _solve_exact(matrix, xv)
             if sol is not None and all(v >= 0 for v in sol):
                 return True

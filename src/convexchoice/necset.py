@@ -93,9 +93,17 @@ def alt_necset(x: NECSet, y: NECSet) -> NECSet:
 
 
 def lub_necset(family: Sequence[NECSet]) -> NECSet:
-    """Collapse a non-empty finite family into the hull of its union."""
+    """Collapse a non-empty finite family into the hull of its union.
+
+    A one-member family is returned as it is: a `NECSet` already holds the
+    extreme points of its hull, so canonicalizing them again changes
+    nothing.  `bind_gcm` and `join_gcm` over a one-generator value take
+    this path.
+    """
     if not family:
         raise ValueError("empty family")
+    if len(family) == 1:
+        return family[0]
     gens: List[Dist] = []
     for x in family:
         gens.extend(x.generators)

@@ -39,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .dist import (
     Dist,
     Outcome,
-    mix_dists,
+    _normalized,
     outcome_key,
     point,
     render_dist,
@@ -581,7 +581,7 @@ def uniform(default: Outcome, values: Sequence[Outcome]) -> GcmVal:
     """Uniformly random element of `values` (`default` if empty)."""
     if not values:
         return ret_gcm(default)
-    return singleton_necset(mix_dists([(1, point(v)) for v in values]))
+    return singleton_necset(_normalized((outcome_key(v), v, 1) for v in values))
 
 
 def arbitrary(default: Outcome, values: Sequence[Outcome]) -> GcmVal:

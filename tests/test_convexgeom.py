@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from convexchoice.convexgeom import (
     vectorize,
 )
 from convexchoice.dist import bind_dist, cached_attr, from_pairs, map_dist, point
+from convexchoice.laws import GenConfig, _gen_hull_instance
 from convexchoice.necset import from_generators, member
 
 
@@ -91,6 +93,90 @@ def test_in_hull_oracle_examples():
     x = d_of(("a", 3, 4), ("b", 1, 4))
     assert in_hull_oracle(x, [mid, point("a")]) is True
     assert in_hull_oracle(mid, [point("c"), mid]) is True
+
+
+def _unpruned_oracle(x, generators):
+    """The enumeration with no support pruning: every subset of size <= dim + 1."""
+    if any(g == x for g in generators):
+        return True
+    basis = make_basis([x, *generators])
+    dim = len(basis)
+    xv = list(vectorize(x, basis)) + [Fraction(1)]
+    vecs = [list(vectorize(g, basis)) + [Fraction(1)] for g in generators]
+    for size in range(1, min(len(generators), dim + 1) + 1):
+        for subset in itertools.combinations(range(len(generators)), size):
+            matrix = [[vecs[j][row] for j in subset] for row in range(dim + 1)]
+            sol = convexgeom._solve_exact(matrix, xv)
+            if sol is not None and all(v >= 0 for v in sol):
+                return True
+    return False
+
+
+def _sparse_hull_instance(rng):
+    """Generators on one or two of four keys, some duplicated; x often a mixture of a few."""
+    keys = list("abcd")
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        support = rng.sample(keys, rng.randint(1, 2))
+        weights = [rng.randint(1, 3) for _ in support]
+        gens.append(from_pairs((k, Fraction(w, sum(weights))) for k, w in zip(support, weights)))
+    gens += rng.sample(gens, rng.randint(0, min(2, len(gens))))
+    roll = rng.random()
+    if roll < 0.15:
+        x = rng.choice(gens)
+    elif roll < 0.3:
+        # weight on a key no generator has
+        x = d_of(("z", 1, 2), (rng.choice(keys), 1, 2))
+    elif roll < 0.45:
+        support = rng.sample(keys, rng.randint(1, 3))
+        x = from_pairs((k, Fraction(1, len(support))) for k in support)
+    else:
+        picked = rng.sample(gens, rng.randint(1, len(gens)))
+        weights = [rng.randint(1, 3) for _ in picked]
+        x = from_pairs(
+            (k, w * p / sum(weights)) for g, w in zip(picked, weights) for k, p in g.entries
+        )
+    return x, gens
+
+
+def test_pruned_oracle_matches_the_unpruned_enumeration():
+    cfg = GenConfig()
+    cases = [
+        (point("a"), [d_of(("a", 1, 2), ("b", 1, 2))]),  # x off no support, but not covered
+        (d_of(("a", 1, 2), ("b", 1, 2)), [point("a"), point("a"), point("b")]),
+        (d_of(("a", 1, 2), ("b", 1, 2)), [point("c"), point("d")]),  # off every support
+        (d_of(("a", 1, 3), ("b", 2, 3)), [point("b"), d_of(("a", 1, 3), ("b", 2, 3))]),
+        (point(True), [point(1), d_of((True, 1, 2), (1, 1, 2))]),
+    ]
+    for seed in range(8):
+        rng = random.Random(seed)
+        cases += [_gen_hull_instance(rng, cfg, max_gens=3 + seed % 4) for _ in range(250)]
+    rng = random.Random(2024)
+    for _ in range(1000):
+        x, gens = _sparse_hull_instance(rng)
+        cases.append((x, gens))
+        if rng.random() < 0.2:
+            # x equal to a generator, among duplicates
+            g = rng.choice(gens)
+            cases.append((g, gens + [g]))
+    assert len(cases) >= 3000
+    answers = []
+    for x, gens in cases:
+        want = _unpruned_oracle(x, gens)
+        assert in_hull_oracle(x, gens) == want, (x, gens)
+        answers.append(want)
+    assert min(answers.count(True), answers.count(False)) > 1000
+
+
+def test_oracle_runs_no_code_of_the_simplex_path(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the oracle reached the simplex path")
+
+    for name in ("HullForm", "_simplex_feasible", "_pivot_feasible", "_int_coords"):
+        monkeypatch.setattr(convexgeom, name, refuse)
+    rng = random.Random(77)
+    for _ in range(200):
+        in_hull_oracle(*_gen_hull_instance(rng, GenConfig(), max_gens=6))
 
 
 def test_empty_generators_rejected():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -8,6 +9,8 @@ from conftest import dists, necsets, probs, small_necsets
 from convexchoice import necset
 from convexchoice.convexgeom import HullForm, convn
 from convexchoice.dist import conv_dist, from_pairs, point
+from convexchoice.gcm import bind_gcm, bind_gcm_direct
+from convexchoice.laws import GenConfig, gen_dist, gen_gcm, gen_kleisli
 from convexchoice.necset import (
     NECSET_INSTANCE,
     NECSet,
@@ -92,6 +95,23 @@ def test_lub_examples():
     assert lub_necset([a, b, c]).generators == (point("a"), point("b"), point("c"))
     with pytest.raises(ValueError):
         lub_necset([])
+
+
+def test_lub_of_one_set_is_that_set():
+    rng, cfg = random.Random(1414), GenConfig()
+    for _ in range(200):
+        x = gen_gcm(rng, cfg, max_generators=rng.randint(1, 6))
+        assert lub_necset([x]) is x
+        assert lub_necset([x]) == from_generators(x.generators)
+
+
+def test_bind_over_one_generator_values_matches_the_direct_formula():
+    # join/bind over a one-generator value is a `lub_necset` of one set
+    rng, cfg = random.Random(1515), GenConfig()
+    for _ in range(100):
+        m = singleton_necset(gen_dist(rng, cfg))
+        k = gen_kleisli(rng, cfg, max_generators=3)
+        assert bind_gcm(m, k.__getitem__) == bind_gcm_direct(m, k.__getitem__), (m, k)
 
 
 def test_conv_examples():

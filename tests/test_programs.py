@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from convexchoice.dist import from_pairs, point
+from convexchoice.dist import from_pairs, mix_dists, point, validate_dist
 from convexchoice.gcm import alt_gcm, bind_gcm, choice_gcm, ret_gcm
 from convexchoice.necset import from_generators, singleton_necset
 from convexchoice.prob import prob_make
@@ -210,6 +210,34 @@ def test_uniform_examples():
     )
     assert uniform("d", ["x"]) == ret_gcm("x")
     assert uniform("d", []) == ret_gcm("d")
+
+
+def _uniform_reference(default, values):
+    """uniform as a mixture of one point mass per value."""
+    if not values:
+        return ret_gcm(default)
+    return singleton_necset(mix_dists([(1, point(v)) for v in values]))
+
+
+def test_uniform_renders_match_the_mixture_of_point_masses():
+    cases = [
+        (0, [1, True, 1], "{true: 1/3, 1: 2/3}"),
+        ("d", ["a", "b", "a", "c"], "{a: 1/2, b: 1/4, c: 1/4}"),
+        (0, [True, 1, False, 0], "{true: 1/4, false: 1/4, 0: 1/4, 1: 1/4}"),
+        (0, [], "{0: 1}"),
+        (True, [], "{true: 1}"),
+    ]
+    rng = random.Random(21)
+    pool = [True, False, 0, 1, 2, "a", "b", "c"]
+    for _ in range(100):
+        values = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        cases.append(("d", values, None))
+    for default, values, want in cases:
+        got, ref = uniform(default, values), _uniform_reference(default, values)
+        assert want is None or render(got) == want, values
+        for fmt in ("text", "structured"):
+            assert render(got, fmt) == render(ref, fmt), values
+        validate_dist(got.generators[0])
 
 
 def test_arbitrary_examples():
