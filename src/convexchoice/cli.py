@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from . import __version__, stats
 from .laws import GenConfig, check_all, check_law, law_names, render_report, run_trial
@@ -81,8 +81,18 @@ def _cmd_version(_args: argparse.Namespace) -> int:
 STATS_HELP = "print LP calls, simplex pivots and canonicalization counts on one line to stderr"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error in one `error:` line and exit 1, like every other input error.
+
+    Exit 2 stays for a failed law verdict; subparsers are made of this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, "error: " + message.replace("\n", " ") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convexchoice",
         description="Exact model of combined probabilistic and nondeterministic choice.",
     )

@@ -42,7 +42,7 @@ from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, _dist, cached_attr, conv_dist, outcome_key
+from .dist import Dist, Outcome, cached_attr, conv_dist, outcome_key
 from .prob import Prob
 
 C = TypeVar("C")
@@ -84,13 +84,13 @@ def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
 
 def barycenter(d: Dist, inst: ConvexInstance[C]) -> C:
     """Convex combination of a distribution's own support elements."""
-    return convn(_dist(tuple(range(len(d.nums))), d.nums, d.den), d.outcomes, inst)
+    return convn(Dist(tuple(range(len(d.nums))), d.nums, d.den), d.outcomes, inst)
 
 
 def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
     seen = {}
     for d in dists:
-        for k in d.support():
+        for k in d.outcomes:
             seen.setdefault(outcome_key(k), k)
     return tuple(seen[k] for k in sorted(seen))
 

@@ -15,9 +15,11 @@ positive integer numerators `nums` over one denominator `den`, with
 equality, hashing and order, all read from the key, are structural.  A
 `Weight` in the key is the rational n/den, compared by cross-multiplication,
 so keys order exactly as they would with `Fraction` weights.  Mixing,
-merging and pushforward work on the numerators, with one gcd per result.
-`Fraction`s are only at the edges: `Dist(entries)` and `from_pairs` take
-them, checked, and `entries`, `weight()` and rendering give them back.
+merging and pushforward work on the numerators, with one gcd per result,
+and build their results with the one constructor, `Dist(outcomes, nums,
+den)`, which reduces by the gcd and checks nothing else.  `Fraction`s are
+only at the edges: `from_pairs` takes them, checked, and `entries`,
+`weight()` and rendering give them back.
 Keys, hashes and `entries` are computed once per value by `cached_attr`.
 """
 
@@ -134,23 +136,18 @@ _ONE = Weight(1, 1)  # the weight of every point mass, in every key
 class Dist(Keyed):
     """A canonical finitely-supported distribution: `outcomes` with weights `nums` / `den`.
 
-    `Dist(entries)` takes `(outcome, Fraction)` pairs in canonical order and
-    raises ValueError unless they are; the operations below build theirs
-    with `_dist`.  The key of a one-entry distribution is not read, so
-    `barycenter` can take point masses on values that are not outcomes.
+    `Dist(outcomes, nums, den)` reduces the weights by their gcd and checks
+    nothing else; `from_pairs` is the checked entry for outside weights.
+    The key of a one-entry distribution is not read, so `barycenter` can
+    take point masses on values that are not outcomes.
     """
 
     __slots__ = ("outcomes", "nums", "den")
 
-    def __init__(self, entries: Tuple[Entry, ...]) -> None:
-        if type(entries) is not tuple or not entries:
-            raise ValueError("distribution must have non-empty support")
-        self.nums, self.den = _over_lcm(entries)
-        self.outcomes = tuple(k for k, _ in entries)
-        keys = self.okeys if len(entries) > 1 else ()
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("entries not strictly increasing")
-        self.__dict__["entries"] = entries
+    def __init__(self, outcomes: Tuple[Outcome, ...], nums: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *nums)
+        self.outcomes, self.den = outcomes, den // g
+        self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
 
     @cached_attr
     def okeys(self) -> Tuple[tuple, ...]:
@@ -169,9 +166,6 @@ class Dist(Keyed):
         den = self.den
         return tuple((k, Fraction(n, den)) for k, n in zip(self.outcomes, self.nums))
 
-    def support(self) -> Tuple[Outcome, ...]:
-        return self.outcomes
-
     def weight(self, key: Outcome) -> Fraction:
         wanted = outcome_key(key)
         for k, n in zip(self.okeys, self.nums):
@@ -184,31 +178,6 @@ class Dist(Keyed):
 
     def __repr__(self) -> str:
         return f"Dist({render_dist(self)})"
-
-
-def _dist(outcomes: Tuple[Outcome, ...], nums: Sequence[int], den: int) -> Dist:
-    """The `Dist` with weights nums[i] / den in lowest terms; nothing else is checked."""
-    g = math.gcd(den, *nums)
-    d = object.__new__(Dist)
-    d.outcomes, d.den = outcomes, den // g
-    d.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
-    return d
-
-
-def _over_lcm(entries: Sequence[Entry]) -> Tuple[Tuple[int, ...], int]:
-    """The weights of `entries` as numerators over their least common denominator.
-
-    Raises ValueError unless every weight is a positive `Fraction` and they sum to 1.
-    """
-    for key, weight in entries:
-        # a denominator is always positive
-        if not isinstance(weight, Fraction) or weight.numerator <= 0:
-            raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
-    den = math.lcm(*(w.denominator for _, w in entries))
-    nums = tuple(w.numerator * (den // w.denominator) for _, w in entries)
-    if sum(nums) != den:
-        raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
-    return nums, den
 
 
 def _normalized(triples: Iterable[Tuple[tuple, Outcome, int]]) -> Dist:
@@ -225,7 +194,7 @@ def _normalized(triples: Iterable[Tuple[tuple, Outcome, int]]) -> Dist:
     okeys = sorted(acc)
     merged = [acc[k] for k in okeys]
     nums = [n for _, n in merged]
-    d = _dist(tuple(k for k, _ in merged), nums, sum(nums))
+    d = Dist(tuple(k for k, _ in merged), nums, sum(nums))
     d.__dict__["okeys"] = tuple(okeys)
     return d
 
@@ -247,12 +216,19 @@ def from_pairs(pairs: Iterable[Entry]) -> Dist:
             kept.append((key, weight))
     if not kept:
         raise ValueError("distribution must have non-empty support")
-    return _normalized((outcome_key(k), k, n) for (k, _), n in zip(kept, _over_lcm(kept)[0]))
+    for key, weight in kept:
+        if not isinstance(weight, Fraction):
+            raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
+    den = math.lcm(*(w.denominator for _, w in kept))
+    nums = [w.numerator * (den // w.denominator) for _, w in kept]
+    if sum(nums) != den:
+        raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+    return _normalized((outcome_key(k), k, n) for (k, _), n in zip(kept, nums))
 
 
 def point(key: Outcome) -> Dist:
     """The point-supported distribution: all mass on one outcome."""
-    return _dist((key,), (1,), 1)
+    return Dist((key,), (1,), 1)
 
 
 def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:

@@ -72,7 +72,7 @@ def bind_gcm_direct(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
     """
     candidates = []
     for d in m.generators:
-        images = [k(a) for a in d.support()]
+        images = [k(a) for a in d.outcomes]
         for pick in itertools.product(*(img.generators for img in images)):
             pairs = []
             for (_, w), g in zip(d.entries, pick):

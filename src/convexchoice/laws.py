@@ -33,8 +33,8 @@ from .dist import (
     bind_dist,
     compare_dist,
     conv_dist,
-    from_pairs,
     map_dist,
+    mix_dists,
     outcome_key,
     point,
     render_outcome,
@@ -142,13 +142,6 @@ def _gen_widths(rng: Rng, cfg: GenConfig, size: int) -> List[int]:
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
-def _gen_weights(rng: Rng, cfg: GenConfig, size: int) -> List[Fraction]:
-    # positive weights with denominator <= max_denominator, summing to 1
-    widths = _gen_widths(rng, cfg, size)
-    den = sum(widths)
-    return [Fraction(w, den) for w in widths]
-
-
 def gen_dist(
     rng: Rng,
     cfg: GenConfig,
@@ -210,12 +203,9 @@ def _gen_nested2(rng: Rng, cfg: GenConfig) -> GcmVal:
 
 def _mixture_member(rng: Rng, cfg: GenConfig, x: GcmVal) -> Dist:
     """A random convex combination of x's generators: a member by construction."""
-    weights = _gen_weights(rng, cfg, rng.randint(1, len(x.generators)))
-    chosen = rng.sample(range(len(x.generators)), len(weights))
-    pairs = []
-    for i, w in zip(chosen, weights):
-        pairs.extend((k, w * wk) for k, wk in x.generators[i].entries)
-    return from_pairs(pairs)
+    widths = _gen_widths(rng, cfg, rng.randint(1, len(x.generators)))
+    chosen = rng.sample(range(len(x.generators)), len(widths))
+    return mix_dists([(w, x.generators[i]) for i, w in zip(chosen, widths)])
 
 
 # --- counterexample rendering --------------------------------------------
@@ -332,13 +322,13 @@ def _convn_perm_check(rng: Rng, cfg: GenConfig, points: list, inst) -> Optional[
     n = len(points)
     size = rng.randint(1, n)
     support = rng.sample(range(n), size)
-    weights = from_pairs(zip(support, _gen_weights(rng, cfg, size)))
+    weights = _normalized((outcome_key(i), i, w) for i, w in zip(support, _gen_widths(rng, cfg, size)))
     perm = list(range(n))
     rng.shuffle(perm)
     permuted_points = [None] * n
     for i, v in enumerate(points):
         permuted_points[perm[i]] = v
-    permuted_weights = from_pairs((perm[i], w) for i, w in weights.entries)
+    permuted_weights = map_dist(perm.__getitem__, weights)
     lhs = convn(weights, points, inst)
     rhs = convn(permuted_weights, permuted_points, inst)
     return _eq_or_ce(lhs, rhs, weights=weights, points=points, perm=perm)
@@ -374,11 +364,7 @@ def _gen_hull_instance(rng: Rng, cfg: GenConfig, max_gens: int):
     if rng.random() < 0.5:
         x = gen_dist(rng, cfg)
     else:
-        pairs = []
-        weights = _gen_weights(rng, cfg, len(gens))
-        for g, w in zip(gens, weights):
-            pairs.extend((k, w * wk) for k, wk in g.entries)
-        x = from_pairs(pairs)
+        x = mix_dists(list(zip(_gen_widths(rng, cfg, len(gens)), gens)))
     return x, gens
 
 
@@ -453,7 +439,7 @@ def _law_lub_op_hull(rng: Rng, cfg: GenConfig) -> Optional[str]:
     family = [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, 3))]
     size = rng.randint(1, len(family))
     support = rng.sample(range(len(family)), size)
-    weights = from_pairs(zip(support, _gen_weights(rng, cfg, size)))
+    weights = _normalized((outcome_key(i), i, w) for i, w in zip(support, _gen_widths(rng, cfg, size)))
     y = convn(weights, family, NECSET_INSTANCE)
     lhs = lub_necset(family + [y])
     rhs = lub_necset(family)

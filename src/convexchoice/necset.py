@@ -16,11 +16,10 @@ family of sets, as the barycenters of bind and join need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
-from .dist import Dist, Keyed, cached_attr, conv_dist, mix_dists
+from .dist import Dist, Keyed, cached_attr, mix_dists
 from .prob import Prob
 
 
@@ -110,20 +109,31 @@ def lub_necset(family: Sequence[NECSet]) -> NECSet:
     return from_generators(gens)
 
 
+def _mix_pair(a: int, x: NECSet, b: int, y: NECSet) -> NECSet:
+    """The vertices of (a*x + b*y) / (a+b), for positive integers a and b.
+
+    Only the generator pairs that `minkowski_vertices` keeps are mixed, by
+    `mix_dists`; their mixtures are distinct extreme points, so sorting them
+    gives the normal form.
+    """
+    gx, gy = x.generators, y.generators
+    return NECSet(
+        tuple(sorted(mix_dists([(a, gx[i]), (b, gy[j])]) for i, j in minkowski_vertices(gx, gy)))
+    )
+
+
 def conv_necset(p: Prob, x: NECSet, y: NECSet) -> NECSet:
     """Probabilistic choice on sets: the vertices of p*x + (1-p)*y.
 
-    Only the generator pairs that `minkowski_vertices` keeps are mixed; their
-    mixtures are distinct extreme points, so sorting them gives the normal form.
+    x at p = 1 and y at p = 0; otherwise, for p = a/b, `_mix_pair` with
+    weights a and b - a.
     """
-    if p.is_one():
+    a, b = p.value.numerator, p.value.denominator
+    if a == b:
         return x
-    if p.is_zero():
+    if not a:
         return y
-    gx, gy = x.generators, y.generators
-    return NECSet(
-        tuple(sorted(conv_dist(p, gx[i], gy[j]) for i, j in minkowski_vertices(gx, gy)))
-    )
+    return _mix_pair(a, x, b - a, y)
 
 
 def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
@@ -132,8 +142,8 @@ def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
     A one-generator set only translates the mixture, so all of those are
     mixed into one translation point by `mix_dists`.  Equal sets merge, since
     a*X + b*X = (a+b)*X for a convex X.  The distinct sets left are folded
-    with `conv_necset`, one `Fraction` weight per fold, and the translation
-    is mixed in last.
+    with `_mix_pair` on their integer weights, and the translation is mixed
+    in last, so no `Fraction` is made.
     """
     if len(family) == 1:
         return family[0][1]
@@ -146,15 +156,14 @@ def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
             shift.append((n, x.generators[0]))
     mixed, mass = None, 0
     for x, n in sets.items():
+        mixed = x if mixed is None else _mix_pair(n, x, mass, mixed)
         mass += n
-        mixed = x if mixed is None else conv_necset(Prob(Fraction(n, mass)), x, mixed)
     if not shift:
         return mixed
     point = singleton_necset(mix_dists(shift))
     if mixed is None:
         return point
-    shift_mass = sum(n for n, _ in shift)
-    return conv_necset(Prob(Fraction(shift_mass, shift_mass + mass)), point, mixed)
+    return _mix_pair(sum(n for n, _ in shift), point, mass, mixed)
 
 
 NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(conv_necset)

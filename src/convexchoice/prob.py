@@ -39,12 +39,6 @@ class Prob:
     def complement(self) -> "Prob":
         return Prob(ONE - self.value)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __str__(self) -> str:
         return render_rational(self.value)
 

@@ -522,7 +522,7 @@ class _Level:
         self.node, self.env, self.bound = node, env, bound
         distinct = {}
         for d in bound.generators:
-            for a in d.support():
+            for a in d.outcomes:
                 distinct.setdefault(outcome_key(a), a)
         self.keys = list(distinct)
         self.values = list(distinct.values())

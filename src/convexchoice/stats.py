@@ -1,11 +1,13 @@
-"""Opt-in counters of the exact simplex and of canonicalization.
+"""Opt-in counters of the exact simplex, of canonicalization and of `from_pairs`.
 
 Counted: LPs solved and pivots made, `canonicalize` calls with the
-generators they take in and give out, and `from_pairs` calls.  Counting is
-off by default.  The pivot loop keeps its pivot count in a local and reports
-it once per LP, and `canonicalize` and `from_pairs` report once per call,
-each only when counting is on, so the counters cost one flag test per LP and
-per call when they are off.
+generators they take in and give out, and calls of `from_pairs`, the one
+checked entry for `Fraction` weights (in the law suite only the oracle
+`bind_gcm_direct` calls it).  Counting is off by default.  The pivot loop
+keeps its pivot count in a local and reports it once per LP, and
+`canonicalize` and `from_pairs` report once per call, each only when
+counting is on, so the counters cost one flag test per LP and per call
+when they are off.
 
     stats.start()
     ...                       # any convexchoice work

@@ -5,6 +5,7 @@ criterion.  All equality checks are exact; the only non-exact bounds are
 the wall-clock budgets, which are asserted as stated.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from convexchoice.laws import (
     check_all,
     check_law,
     gen_prob,
+    render_report,
     trial_rng,
 )
 from convexchoice.necset import from_generators
@@ -39,6 +41,10 @@ CORPUS = Path(__file__).parent / "corpus"
 ACCEPT_CONFIG = GenConfig(
     carrier_size=4, max_support=4, max_generators=4, max_denominator=12, trials=200, seed=42
 )
+# sha256 of the 47 rendered reports at ACCEPT_CONFIG, joined by newlines: the
+# lines `check-laws --trials 200 --seed 42` prints, pinned so a rewrite that
+# changes a verdict or a counterexample fails here
+REPORTS_SHA256 = "96eea7e05cf7d2f33393679cd7cf0cc56bd1957893943c3513ebeb312b4e6b0e"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -62,6 +68,11 @@ def test_criterion_1_full_law_suite():
     assert positive_bad == []
     assert negative_bad == []
     assert elapsed < 60.0
+    # the same answers as before every rewrite: refutation counts and report bytes
+    counts = {r.name: len(r.failures) for r in reports if r.expected == "fail"}
+    assert counts == {"neg_bindDr_alt": 146, "neg_bindDr_choice": 67}
+    text = "\n".join(render_report(r) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
 
 
 def test_criterion_2_monty_hall():

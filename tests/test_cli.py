@@ -99,7 +99,7 @@ def test_cli_main_builds_one_parser(capsys, monkeypatch):
     assert capsys.readouterr() == (text, "")
     with pytest.raises(SystemExit) as exc:
         cli_main(["eval"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     capsys.readouterr()
     assert cli_main(["eval", corpus]) == 0
     assert capsys.readouterr() == (text, "")
@@ -284,6 +284,29 @@ def test_version(capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out.strip() == __version__
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-laws", "--trials", "abc"],
+    ["eval"],
+    ["eval", "--format", "xml", "-"],
+    ["bogus"],
+    ["version", "a\nb"],  # argparse quotes no unrecognized argument
+])
+def test_usage_error_is_one_error_line_with_exit_1(capsys, argv):
+    # exit 2 is left to a failed law verdict
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.endswith("\n") and out.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    for argv in (["-h"], ["check-laws", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: convexchoice")
 
 
 def test_run_as_module_from_a_checkout():

@@ -315,7 +315,7 @@ def test_canonicalize_point_masses_match_the_general_path(monkeypatch):
         assert lps == 0 and forms == []
         # an interior mixture forces the general path, which then drops it
         distinct = sorted(set(points))
-        centre = from_pairs((p.support()[0], Fraction(1, len(distinct))) for p in distinct)
+        centre = from_pairs((p.outcomes[0], Fraction(1, len(distinct))) for p in distinct)
         assert canonicalize(points + [centre]) == fast == distinct
         assert forms
         forms.clear()

@@ -233,7 +233,8 @@ def test_equal_dists_hash_equal_by_every_route():
         p = _random_prob(rng)
         routes = [
             d,
-            Dist(tuple(d.entries)),
+            Dist(d.outcomes, [3 * n for n in d.nums], 3 * d.den),
+            from_pairs(d.entries),
             from_pairs(split),
             map_dist(lambda a: a, d),
             conv_dist(p, d, d),

@@ -7,6 +7,7 @@ from convexchoice import stats
 from convexchoice.cli import cli_main
 from convexchoice.convexgeom import canonicalize, in_hull
 from convexchoice.dist import from_pairs, point
+from convexchoice.laws import GenConfig, check_law, law_names
 
 
 def _stats_line(err):
@@ -54,8 +55,22 @@ def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
         "lp_calls", "pivots", "canonicalize_calls", "gens_in", "gens_out", "from_pairs_calls",
     }
     assert int(counts["lp_calls"]) > 0 and int(counts["pivots"]) >= int(counts["lp_calls"])
-    assert int(counts["from_pairs_calls"]) > 0  # some law sites still mix `Fraction` weights
+    assert int(counts["from_pairs_calls"]) > 0  # the oracle `bind_gcm_direct` mixes `Fraction` weights
     assert not stats.enabled
+
+
+def test_only_the_product_formula_oracle_calls_from_pairs_in_the_law_suite():
+    # the generators mix on integer weights; `bind_gcm_direct` mixes `Fraction` products
+    config = GenConfig(trials=10, seed=42)
+    calls = {}
+    for name in law_names():
+        stats.start()
+        try:
+            check_law(name, config)
+        finally:
+            stats.stop()
+        calls[name] = stats.from_pairs_calls
+    assert calls == {name: 26 if name == "bind_two_path" else 0 for name in law_names()}
 
 
 def test_eval_stats_line_leaves_stdout_alone(capsys, monkeypatch):
