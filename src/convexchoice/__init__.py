@@ -4,112 +4,9 @@ Monadic values are non-empty finitely-generated convex sets of
 finitely-supported rational distributions, stored in extreme-point normal
 form so every law of the combined theory can be checked by structural
 equality.
+
+Each name is imported from its own module, as in `convexchoice.gcm.bind_gcm`;
+the package root holds only `__version__`.
 """
 
 __version__ = "0.1.0"
-
-from .prob import Prob, ProbError, complement, prob_make, r_of, s_of
-from .dist import Dist, bind_dist, compare_dist, conv_dist, from_pairs, map_dist, point
-from .convexgeom import (
-    ConvexInstance,
-    DIST_INSTANCE,
-    RAT_INSTANCE,
-    barycenter,
-    canonicalize,
-    convn,
-    in_hull,
-    in_hull_oracle,
-)
-from .necset import (
-    NECSET_INSTANCE,
-    NECSet,
-    alt_necset,
-    conv_necset,
-    from_generators,
-    lub_necset,
-    member,
-    singleton_necset,
-)
-from .gcm import (
-    GcmVal,
-    alt_gcm,
-    bind_gcm,
-    bind_gcm_direct,
-    choice_gcm,
-    join_gcm,
-    map_gcm,
-    ret_gcm,
-)
-from .laws import GenConfig, LawReport, check_all, check_law, law_names, render_report
-from .programs import (
-    SourceError,
-    arb,
-    arbitrary,
-    bcoin,
-    coinarb,
-    eval_expr,
-    monty,
-    parse,
-    render,
-    render_expr,
-    run,
-    uniform,
-)
-
-__all__ = [
-    "Prob",
-    "ProbError",
-    "prob_make",
-    "complement",
-    "s_of",
-    "r_of",
-    "Dist",
-    "point",
-    "conv_dist",
-    "map_dist",
-    "bind_dist",
-    "compare_dist",
-    "from_pairs",
-    "ConvexInstance",
-    "RAT_INSTANCE",
-    "DIST_INSTANCE",
-    "NECSET_INSTANCE",
-    "convn",
-    "barycenter",
-    "in_hull",
-    "in_hull_oracle",
-    "canonicalize",
-    "NECSet",
-    "singleton_necset",
-    "from_generators",
-    "member",
-    "alt_necset",
-    "lub_necset",
-    "conv_necset",
-    "GcmVal",
-    "ret_gcm",
-    "map_gcm",
-    "join_gcm",
-    "bind_gcm",
-    "bind_gcm_direct",
-    "choice_gcm",
-    "alt_gcm",
-    "GenConfig",
-    "LawReport",
-    "check_law",
-    "check_all",
-    "law_names",
-    "render_report",
-    "SourceError",
-    "parse",
-    "render_expr",
-    "eval_expr",
-    "run",
-    "uniform",
-    "arbitrary",
-    "bcoin",
-    "arb",
-    "coinarb",
-    "monty",
-    "render",
-]

@@ -42,34 +42,37 @@ from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, cached_attr, conv_dist, outcome_key
-from .prob import Prob
+from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
 
 C = TypeVar("C")
 
 
 @dataclass(frozen=True)
 class ConvexInstance(Generic[C]):
-    """A carrier's binary mixing operator conv(p, a, b)."""
+    """A carrier's mixing operator: `conv(a, x, b, y)` is (a*x + b*y) / (a+b), for integers a, b > 0."""
 
-    conv: Callable[[Prob, C, C], C]
+    conv: Callable[[int, C, int, C], C]
 
 
-def _conv_rat(p: Prob, x: Fraction, y: Fraction) -> Fraction:
-    return p.value * x + (1 - p.value) * y
+def _conv_rat(a: int, x: Fraction, b: int, y: Fraction) -> Fraction:
+    return Fraction(a * x + b * y, a + b)
+
+
+def _mix_dist_pair(a: int, x: Dist, b: int, y: Dist) -> Dist:
+    return mix_dists([(a, x), (b, y)])
 
 
 RAT_INSTANCE: ConvexInstance[Fraction] = ConvexInstance(_conv_rat)
-DIST_INSTANCE: ConvexInstance[Dist] = ConvexInstance(conv_dist)
+DIST_INSTANCE: ConvexInstance[Dist] = ConvexInstance(_mix_dist_pair)
 
 
 def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
     """n-ary convex combination, folded from the last supported index back.
 
     `weights` is a distribution over integer indices into `points`.  Each
-    step mixes one more point into the accumulated mixture of those after
-    it, with its weight relative to the mass mixed so far, so the support
-    can be any size without recursion.
+    step mixes one more point, at its numerator, into the accumulated
+    mixture of those after it, at the mass mixed so far, so the support can
+    be any size without recursion.
     """
     idxs, nums = weights.outcomes, weights.nums
     for idx in idxs:
@@ -77,8 +80,8 @@ def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
             raise ValueError(f"no point for supported index {idx!r}")
     acc, mass = points[idxs[-1]], nums[-1]
     for idx, n in zip(reversed(idxs[:-1]), reversed(nums[:-1])):
+        acc = inst.conv(n, points[idx], mass, acc)
         mass += n
-        acc = inst.conv(Prob(Fraction(n, mass)), points[idx], acc)
     return acc
 
 

@@ -166,7 +166,7 @@ def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
     return _mix_pair(sum(n for n, _ in shift), point, mass, mixed)
 
 
-NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(conv_necset)
+NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(_mix_pair)
 
 
 def validate_necset(x: NECSet) -> None:

@@ -35,10 +35,6 @@ class Prob:
         if self.value < 0 or self.value > 1:
             raise ProbError(f"probability out of range: {self.value}")
 
-    @property
-    def complement(self) -> "Prob":
-        return Prob(ONE - self.value)
-
     def __str__(self) -> str:
         return render_rational(self.value)
 
@@ -51,7 +47,7 @@ def prob_make(num: int, den: int) -> Prob:
 
 
 def complement(p: Prob) -> Prob:
-    return p.complement
+    return Prob(ONE - p.value)
 
 
 def s_of(p: Prob, q: Prob) -> Prob:

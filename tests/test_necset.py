@@ -22,7 +22,7 @@ from convexchoice.necset import (
     singleton_necset,
     validate_necset,
 )
-from convexchoice.prob import prob_make
+from convexchoice.prob import complement, prob_make
 
 
 def d_of(*pairs):
@@ -134,7 +134,7 @@ def test_canonical_form_validates(x):
 def test_convex_axioms_identity_commutativity(p, x, y):
     assert conv_necset(prob_make(1, 1), x, y) == x
     assert conv_necset(p, x, x) == x
-    assert conv_necset(p, x, y) == conv_necset(p.complement, y, x)
+    assert conv_necset(p, x, y) == conv_necset(complement(p), y, x)
 
 
 @given(necsets, necsets, necsets)
