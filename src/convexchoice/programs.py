@@ -18,12 +18,15 @@ Grammar
     PROB        := INT ( '/' INT )?                       -- must lie in [0, 1]
     INT         := '-'? [0-9]+                            -- ASCII digits only
 
-Symbols are identifiers starting with an uppercase letter (the Monty Hall
-doors are ``A``, ``B``, ``C``); variables start with a lowercase letter.
-A nested binder on the left of ``<-`` needs parentheses.  Every variable
-must be bound by an enclosing ``do``, and the parser checks this as it reads:
-a binder's variable is in scope in the rest of its ``do`` sequence, not in
-its own bound expression.  Errors come in a fixed order: an unexpected
+The scanner reads the text with one ``findall`` into three flat lists: the
+token kinds, their texts and their (line, column) positions, with space, tab
+and CR as blanks and columns counted in characters from 1.  A word that is no
+keyword is a symbol when it starts with an uppercase letter (the Monty Hall
+doors are ``A``, ``B``, ``C``), else a variable.  The parser reads the lists
+by index.  A nested binder on the left of ``<-`` needs parentheses.  Every
+variable must be bound by an enclosing ``do``, and the parser checks this as
+it reads: a binder's variable is in scope in the rest of its ``do`` sequence,
+not in its own bound expression.  Errors come in a fixed order: an unexpected
 character first, then a syntax error, then the first unbound variable in
 source order.
 """
@@ -34,7 +37,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .dist import (
     Dist,
@@ -153,58 +156,55 @@ Expr = Union[Ret, Choice, Alt, Bind, Uniform, Arbitrary]
 KEYWORDS = {"ret", "do", "uniform", "arbitrary", "true", "false"}
 
 
-# --- Tokenizer ---------------------------------------------------------
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: Pos
-
+# --- Scanner -----------------------------------------------------------
 
 _OPERATORS = {
     "[~]": "ALT", "<|": "LCHOICE", "|>": "RCHOICE", "<-": "ARROW", "==": "EQEQ",
     "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
     ",": "COMMA", ";": "SEMI", "/": "SLASH",
 }
+# The kind of each token that its text alone decides.
+_KINDS = {**{w: w.upper() for w in KEYWORDS}, **_OPERATORS, "\n": "NL", "": "EOF"}
 
-# After any blanks: a newline, an integer, a word, an operator (longest
-# first), the end of the text, or else the one character that starts none.
-# `\w` is exactly `str.isalnum()` or `_`, and a word must start with
+# (blanks)(token): the token is a newline, an operator (longest first), an
+# integer, a word, the end of the text, or else the one character that starts
+# none.  `\w` is exactly `str.isalnum()` or `_`, and a word must start with
 # `isalpha()` or `_`, so a non-ASCII digit or numeral is a bad character.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<NL>\n)|(?P<INT>-?[0-9]+)|(?P<WORD>\w+)|(?P<OP>"
+    r"([ \t\r]*)(\n|"
     + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
-    + r")|(?P<EOF>\Z)|(?P<BAD>.))",
+    + r"|-?[0-9]+|\w+|\Z|.)",
     re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> List[_Token]:
-    toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-            continue
-        word = m[kind]
-        pos = (line, m.start(kind) - line_start + 1)
-        if kind == "WORD":
-            if not (word[0].isalpha() or word[0] == "_"):
-                word, kind = word[0], "BAD"
-            elif word in KEYWORDS:
-                kind = word.upper()
+def _tokenize(text: str) -> Tuple[List[str], List[str], List[Pos]]:
+    """The kinds, texts and positions of the tokens of `text`, up to EOF."""
+    kinds: List[str] = []
+    texts: List[str] = []
+    poss: List[Pos] = []
+    line, col = 1, 1
+    for blanks, tok in _TOKEN.findall(text):
+        col += len(blanks)
+        kind = _KINDS.get(tok)
+        if kind is None:
+            first = tok[0]
+            if first in "0123456789" or (first == "-" and tok != "-"):
+                kind = "INT"
+            elif first.isalpha() or first == "_":
+                kind = "SYMBOL" if first.isupper() else "VAR"
             else:
-                kind = "SYMBOL" if word[0].isupper() else "VAR"
-        elif kind == "OP":
-            kind = _OPERATORS[word]
-        if kind == "BAD":
-            raise SourceError("syntax", *pos, f"unexpected character {word!r}")
-        toks.append(_Token(kind, word, pos))
+                raise SourceError("syntax", line, col, f"unexpected character {first!r}")
+        elif kind == "NL":
+            line, col = line + 1, 1
+            continue
+        kinds.append(kind)
+        texts.append(tok)
+        poss.append((line, col))
         if kind == "EOF":
             break
-    return toks
+        col += len(tok)
+    return kinds, texts, poss
 
 
 # --- Parser ------------------------------------------------------------
@@ -218,46 +218,41 @@ def _quote(text: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token]) -> None:
-        self.toks = tokens
+    """Recursive descent over the token lists; token `i` is the next to read."""
+
+    def __init__(self, kinds: List[str], texts: List[str], poss: List[Pos]) -> None:
+        self.kinds, self.texts, self.poss = kinds, texts, poss
         self.i = 0
         self.depth = 0
         # name -> whether each enclosing binder of it is read so far, innermost last
         self.scope: Dict[str, List[bool]] = {}
         self.unbound: Optional[SourceError] = None  # the first, in source order
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def next(self) -> _Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.err(f"expected {what}, found {_quote(tok.text or 'end of input')}")
-        return self.next()
+    def expect(self, kind: str, what: str) -> int:
+        """Read the next token, which must be of `kind`; its index."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.err(f"expected {what}, found {_quote(self.texts[i] or 'end of input')}")
+        self.i = i + 1
+        return i
 
     def err(self, msg: str) -> SourceError:
-        tok = self.peek()
-        return SourceError("syntax", tok.pos[0], tok.pos[1], msg)
+        return SourceError("syntax", *self.poss[self.i], msg)
 
-    @staticmethod
-    def integer(tok: _Token) -> int:
+    def integer(self, i: int) -> int:
         # int() refuses more digits than the interpreter's conversion limit
+        text = self.texts[i]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            msg = f"integer literal of {len(tok.text)} digits, over the limit of {limit}"
-            raise SourceError("syntax", tok.pos[0], tok.pos[1], msg) from None
+            msg = f"integer literal of {len(text)} digits, over the limit of {limit}"
+            raise SourceError("syntax", *self.poss[i], msg) from None
 
     def open_paren(self) -> None:
         if self.depth == MAX_PAREN_DEPTH:
             raise self.err(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
-        self.next()
+        self.i += 1
         self.depth += 1
 
     def close_paren(self) -> None:
@@ -270,117 +265,119 @@ class _Parser:
         # in scope from the end of its bound expression to the end of this one,
         # and its binder is marked read when a variable resolves to it there.
         heads = []
-        scope = self.scope
-        while self.peek().kind == "DO":
-            tok = self.next()
-            var = self.expect("VAR", "a variable name").text
+        kinds, scope = self.kinds, self.scope
+        while kinds[self.i] == "DO":
+            pos = self.poss[self.i]
+            self.i += 1
+            var = self.texts[self.expect("VAR", "a variable name")]
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
             scope.setdefault(var, []).append(False)
-            heads.append((var, bound, tok.pos))
+            heads.append((var, bound, pos))
         expr = self.parse_alt()
         for var, bound, pos in reversed(heads):
-            expr = Bind(var, bound, expr, pos=pos, used=scope[var].pop())
+            expr = Bind(var, bound, expr, pos, scope[var].pop())
         return expr
 
     def parse_alt(self) -> Expr:
         left = self.parse_choice()
-        while self.peek().kind == "ALT":
-            op = self.next()
-            right = self.parse_choice()
-            left = Alt(left, right, pos=op.pos)
+        kinds = self.kinds
+        while kinds[self.i] == "ALT":
+            pos = self.poss[self.i]
+            self.i += 1
+            left = Alt(left, self.parse_choice(), pos)
         return left
 
     def parse_choice(self) -> Expr:
         left = self.parse_primary()
-        while self.peek().kind == "LCHOICE":
-            op = self.next()
+        kinds = self.kinds
+        while kinds[self.i] == "LCHOICE":
+            pos = self.poss[self.i]
+            self.i += 1
             p = self.parse_prob()
             self.expect("RCHOICE", "'|>'")
-            right = self.parse_primary()
-            left = Choice(p, left, right, pos=op.pos)
+            left = Choice(p, left, self.parse_primary(), pos)
         return left
 
     def parse_prob(self) -> Prob:
-        tok = self.expect("INT", "a probability")
-        num = self.integer(tok)
+        i = self.expect("INT", "a probability")
+        num = self.integer(i)
         den = 1
-        if self.peek().kind == "SLASH":
-            self.next()
-            den_tok = self.expect("INT", "a denominator")
-            den = self.integer(den_tok)
+        if self.kinds[self.i] == "SLASH":
+            self.i += 1
+            den = self.integer(self.expect("INT", "a denominator"))
         try:
             return prob_make(num, den)
         except ProbError as exc:
-            raise SourceError("syntax", tok.pos[0], tok.pos[1], str(exc)) from exc
+            raise SourceError("syntax", *self.poss[i], str(exc)) from exc
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "RET":
-            self.next()
-            return Ret(self.parse_value(), pos=tok.pos)
-        if tok.kind in ("UNIFORM", "ARBITRARY"):
-            self.next()
+        i = self.i
+        kind, pos = self.kinds[i], self.poss[i]
+        if kind == "RET":
+            self.i = i + 1
+            return Ret(self.parse_value(), pos)
+        if kind == "UNIFORM" or kind == "ARBITRARY":
+            self.i = i + 1
             default = self.parse_value()
             self.expect("LBRACKET", "'['")
             items: List[ValueExpr] = []
-            if self.peek().kind != "RBRACKET":
+            kinds = self.kinds
+            if kinds[self.i] != "RBRACKET":
                 items.append(self.parse_value())
-                while self.peek().kind == "COMMA":
-                    self.next()
+                while kinds[self.i] == "COMMA":
+                    self.i += 1
                     items.append(self.parse_value())
             self.expect("RBRACKET", "']'")
-            node = Uniform if tok.kind == "UNIFORM" else Arbitrary
-            return node(default, tuple(items), pos=tok.pos)
-        if tok.kind == "LPAREN":
+            node = Uniform if kind == "UNIFORM" else Arbitrary
+            return node(default, tuple(items), pos)
+        if kind == "LPAREN":
             self.open_paren()
             inner = self.parse_expr()
             self.close_paren()
             return inner
-        raise self.err(f"expected an expression, found {_quote(tok.text or 'end of input')}")
+        raise self.err(f"expected an expression, found {_quote(self.texts[i] or 'end of input')}")
 
     def parse_value(self) -> ValueExpr:
-        tok = self.peek()
-        if tok.kind == "TRUE":
-            self.next()
-            return Lit(True, pos=tok.pos)
-        if tok.kind == "FALSE":
-            self.next()
-            return Lit(False, pos=tok.pos)
-        if tok.kind == "INT":
-            self.next()
-            return Lit(self.integer(tok), pos=tok.pos)
-        if tok.kind == "SYMBOL":
-            self.next()
-            return Lit(tok.text, pos=tok.pos)
-        if tok.kind == "VAR":
-            self.next()
-            reads = self.scope.get(tok.text)
+        i = self.i
+        kind, text, pos = self.kinds[i], self.texts[i], self.poss[i]
+        if kind == "VAR":
+            self.i = i + 1
+            reads = self.scope.get(text)
             if reads:
                 reads[-1] = True
             elif self.unbound is None:
-                msg = f"unbound variable {_quote(tok.text)}"
-                self.unbound = SourceError("unbound-variable", *tok.pos, msg)
-            return Var(tok.text, pos=tok.pos)
-        if tok.kind == "LPAREN":
+                msg = f"unbound variable {_quote(text)}"
+                self.unbound = SourceError("unbound-variable", *pos, msg)
+            return Var(text, pos)
+        if kind == "INT":
+            self.i = i + 1
+            return Lit(self.integer(i), pos)
+        if kind == "SYMBOL":
+            self.i = i + 1
+            return Lit(text, pos)
+        if kind == "TRUE" or kind == "FALSE":
+            self.i = i + 1
+            return Lit(kind == "TRUE", pos)
+        if kind == "LPAREN":
             self.open_paren()
             left = self.parse_value()
-            if self.peek().kind == "EQEQ":
-                self.next()
-                left = Eq(left, self.parse_value(), pos=tok.pos)
+            if self.kinds[self.i] == "EQEQ":
+                self.i += 1
+                left = Eq(left, self.parse_value(), pos)
             self.close_paren()
             return left
-        raise self.err(f"expected a value, found {_quote(tok.text or 'end of input')}")
+        raise self.err(f"expected a value, found {_quote(text or 'end of input')}")
 
 
 def parse(text: str) -> Expr:
     """Parse a program; raises SourceError with a position on failure."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(*_tokenize(text))
     expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise parser.err(f"unexpected trailing input {_quote(tok.text)}")
+    i = parser.i
+    if parser.kinds[i] != "EOF":
+        raise parser.err(f"unexpected trailing input {_quote(parser.texts[i])}")
     if parser.unbound is not None:
         raise parser.unbound
     return expr

@@ -364,13 +364,13 @@ _BLANKS = [" ", "\t", "\n", "\r", "  \t", "\r\n", "\n\t\n "]
 
 def _assert_positions(text):
     lines = text.split("\n")
-    toks = _tokenize(text)
-    for tok in toks:
-        line, col = tok.pos
-        assert lines[line - 1][col - 1 :].startswith(tok.text), (text, tok)
-    assert toks[-1].kind == "EOF"
-    assert toks[-1].pos == (len(lines), len(lines[-1]) + 1)
-    return toks
+    kinds, texts, poss = _tokenize(text)
+    assert len(kinds) == len(texts) == len(poss)
+    for kind, word, (line, col) in zip(kinds, texts, poss):
+        assert lines[line - 1][col - 1 :].startswith(word), (text, kind, word, line, col)
+    assert kinds[-1] == "EOF"
+    assert poss[-1] == (len(lines), len(lines[-1]) + 1)
+    return kinds, texts
 
 
 def test_token_positions():
@@ -378,11 +378,10 @@ def test_token_positions():
     sources = [path.read_text() for path in sorted(CORPUS.glob("*.choice"))]
     sources += [render_expr(_gen_expr(rng, frozenset(), rng.randint(0, 3))) for _ in range(100)]
     for source in sources:
-        toks = _assert_positions(source)
+        kinds, texts = _assert_positions(source)
         # the same tokens with random blanks, tabs and newlines between them
-        spaced = "".join(rng.choice(_BLANKS) + tok.text for tok in toks)
-        respaced = _assert_positions(spaced)
-        assert [(t.kind, t.text) for t in respaced] == [(t.kind, t.text) for t in toks]
+        spaced = "".join(rng.choice(_BLANKS) + word for word in texts)
+        assert _assert_positions(spaced) == (kinds, texts)
 
 
 def test_round_trip_random_asts():
