@@ -33,6 +33,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: program nested too deeply to evaluate", file=sys.stderr)
+        return 1
     print(render(value, args.format))
     return 0
 

@@ -26,9 +26,10 @@ doors are ``A``, ``B``, ``C``), else a variable.  The parser reads the lists
 by index.  A nested binder on the left of ``<-`` needs parentheses.  Every
 variable must be bound by an enclosing ``do``, and the parser checks this as
 it reads: a binder's variable is in scope in the rest of its ``do`` sequence,
-not in its own bound expression.  Errors come in a fixed order: an unexpected
-character first, then a syntax error, then the first unbound variable in
-source order.
+not in its own bound expression.  It also records, on each binder, the free
+variables of its body, by which the evaluator keys the rest of a sequence.
+Errors come in a fixed order: an unexpected character first, then a syntax
+error, then the first unbound variable in source order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .dist import (
     Dist,
@@ -84,7 +86,6 @@ _NOPOS: Pos = (0, 0)
 @dataclass(frozen=True)
 class Lit:
     value: Outcome
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,6 @@ ValueExpr = Union[Lit, Var, Eq]
 @dataclass(frozen=True)
 class Ret:
     value: ValueExpr
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,41 +114,37 @@ class Choice:
     prob: Prob
     left: "Expr"
     right: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Alt:
     left: "Expr"
     right: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Bind:
-    """`do var <- bound; body`.  `used` is False when no variable in `body`
-    resolves to this binder; the parser sets it, and a hand-built node keeps
-    the default True, which the evaluator treats as read."""
+    """`do var <- bound; body`.  `live` holds the free variables of `body`,
+    the only ones the rest of the sequence reads; the parser sets it, and a
+    hand-built node keeps the default None, which the evaluator reads as every
+    variable in scope."""
 
     var: str
     bound: "Expr"
     body: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
-    used: bool = field(default=True, compare=False, repr=False)
+    live: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Uniform:
     default: ValueExpr
     items: Tuple[ValueExpr, ...]
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Arbitrary:
     default: ValueExpr
     items: Tuple[ValueExpr, ...]
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
 
 
 Expr = Union[Ret, Choice, Alt, Bind, Uniform, Arbitrary]
@@ -224,8 +220,11 @@ class _Parser:
         self.kinds, self.texts, self.poss = kinds, texts, poss
         self.i = 0
         self.depth = 0
-        # name -> whether each enclosing binder of it is read so far, innermost last
-        self.scope: Dict[str, List[bool]] = {}
+        # name -> how many enclosing binders bind it
+        self.scope: Dict[str, int] = {}
+        # the variables read so far that no binder inside the body of each
+        # enclosing binder binds, innermost last; the first is the whole text
+        self.reads: List[Set[str]] = [set()]
         self.unbound: Optional[SourceError] = None  # the first, in source order
 
     def expect(self, kind: str, what: str) -> int:
@@ -263,41 +262,45 @@ class _Parser:
         # A `do` sequence is read in a loop and its binders are nested from the
         # last one back, so a long sequence does not recurse.  Each variable is
         # in scope from the end of its bound expression to the end of this one,
-        # and its binder is marked read when a variable resolves to it there.
+        # where its binder's body is read.  The free variables of a body are
+        # those read in it, less the variable of each binder inside it from
+        # that binder's body on: free(do x <- m; r) = free(m) | free(r) - {x}.
         heads = []
-        kinds, scope = self.kinds, self.scope
+        kinds, scope, reads = self.kinds, self.scope, self.reads
         while kinds[self.i] == "DO":
-            pos = self.poss[self.i]
             self.i += 1
             var = self.texts[self.expect("VAR", "a variable name")]
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
-            scope.setdefault(var, []).append(False)
-            heads.append((var, bound, pos))
+            scope[var] = scope.get(var, 0) + 1
+            reads.append(set())
+            heads.append((var, bound))
         expr = self.parse_alt()
-        for var, bound, pos in reversed(heads):
-            expr = Bind(var, bound, expr, pos, scope[var].pop())
+        for var, bound in reversed(heads):
+            scope[var] -= 1
+            live = reads.pop()
+            expr = Bind(var, bound, expr, tuple(sorted(live)))
+            live.discard(var)
+            reads[-1] |= live
         return expr
 
     def parse_alt(self) -> Expr:
         left = self.parse_choice()
         kinds = self.kinds
         while kinds[self.i] == "ALT":
-            pos = self.poss[self.i]
             self.i += 1
-            left = Alt(left, self.parse_choice(), pos)
+            left = Alt(left, self.parse_choice())
         return left
 
     def parse_choice(self) -> Expr:
         left = self.parse_primary()
         kinds = self.kinds
         while kinds[self.i] == "LCHOICE":
-            pos = self.poss[self.i]
             self.i += 1
             p = self.parse_prob()
             self.expect("RCHOICE", "'|>'")
-            left = Choice(p, left, self.parse_primary(), pos)
+            left = Choice(p, left, self.parse_primary())
         return left
 
     def parse_prob(self) -> Prob:
@@ -314,10 +317,10 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         i = self.i
-        kind, pos = self.kinds[i], self.poss[i]
+        kind = self.kinds[i]
         if kind == "RET":
             self.i = i + 1
-            return Ret(self.parse_value(), pos)
+            return Ret(self.parse_value())
         if kind == "UNIFORM" or kind == "ARBITRARY":
             self.i = i + 1
             default = self.parse_value()
@@ -331,7 +334,7 @@ class _Parser:
                     items.append(self.parse_value())
             self.expect("RBRACKET", "']'")
             node = Uniform if kind == "UNIFORM" else Arbitrary
-            return node(default, tuple(items), pos)
+            return node(default, tuple(items))
         if kind == "LPAREN":
             self.open_paren()
             inner = self.parse_expr()
@@ -341,31 +344,30 @@ class _Parser:
 
     def parse_value(self) -> ValueExpr:
         i = self.i
-        kind, text, pos = self.kinds[i], self.texts[i], self.poss[i]
+        kind, text = self.kinds[i], self.texts[i]
         if kind == "VAR":
             self.i = i + 1
-            reads = self.scope.get(text)
-            if reads:
-                reads[-1] = True
+            if self.scope.get(text):
+                self.reads[-1].add(text)
             elif self.unbound is None:
                 msg = f"unbound variable {_quote(text)}"
-                self.unbound = SourceError("unbound-variable", *pos, msg)
-            return Var(text, pos)
+                self.unbound = SourceError("unbound-variable", *self.poss[i], msg)
+            return Var(text, self.poss[i])
         if kind == "INT":
             self.i = i + 1
-            return Lit(self.integer(i), pos)
+            return Lit(self.integer(i))
         if kind == "SYMBOL":
             self.i = i + 1
-            return Lit(text, pos)
+            return Lit(text)
         if kind == "TRUE" or kind == "FALSE":
             self.i = i + 1
-            return Lit(kind == "TRUE", pos)
+            return Lit(kind == "TRUE")
         if kind == "LPAREN":
             self.open_paren()
             left = self.parse_value()
             if self.kinds[self.i] == "EQEQ":
                 self.i += 1
-                left = Eq(left, self.parse_value(), pos)
+                left = Eq(left, self.parse_value(), self.poss[i])
             self.close_paren()
             return left
         raise self.err(f"expected a value, found {_quote(text or 'end of input')}")
@@ -499,7 +501,7 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
             )
         return value
     if isinstance(e, Bind):
-        return _eval_do(e, env)
+        return _eval_do(e, env, {})
     if isinstance(e, Uniform):
         return uniform(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
     if isinstance(e, Arbitrary):
@@ -507,64 +509,47 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
     raise TypeError(f"not an expression: {e!r}")
 
 
-class _Level:
-    """A binder of a `do` sequence in evaluation that binds several values:
-    the node, the environment it was evaluated in, its bound value, the
-    distinct values to bind (in order of first appearance across the
-    generators) and the value of the rest of the sequence for each so far."""
-
-    __slots__ = ("node", "env", "bound", "keys", "values", "results")
-
-    def __init__(self, node: Bind, env: Dict[str, Outcome], bound: GcmVal) -> None:
-        self.node, self.env, self.bound = node, env, bound
-        distinct = {}
-        for d in bound.generators:
-            for a in d.outcomes:
-                distinct.setdefault(outcome_key(a), a)
-        self.keys = list(distinct)
-        self.values = list(distinct.values())
-        self.results: List[GcmVal] = []
-
-
-def _eval_do(e: Bind, env: Dict[str, Outcome]) -> GcmVal:
-    """A `do` sequence, on an explicit stack of binders instead of Python frames.
+def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal]) -> GcmVal:
+    """A `do` sequence by the monad laws, with the rest evaluated only as often
+    as the values it reads differ.
 
     Each bound expression is evaluated, in order, and its binder settled by
     one of three rules:
 
+    - unread (its variable is not in `Bind.live`): it binds nothing, since a
+      value is a non-empty set of total distributions and so `m >> n = n`;
     - one outcome: the bound value is `ret a`, so `a` is bound in place
       (left unit, `bind (ret a) k = k a`);
-    - unread (`Bind.used` is False): it binds nothing, since a value is a
-      non-empty set of total distributions and so `m >> n = n`;
-    - otherwise the rest is evaluated once per distinct bound value, in the
-      order in which `bind_gcm` first calls its continuation on each, so the
-      first error raised is the one nested binds raise; `bind_gcm` then reads
-      one result per distinct value.
+    - otherwise `bind_gcm` runs the rest once per outcome, and the rest is
+      evaluated once per distinct tuple of values of the variables it reads,
+      kept in `memo` for the whole sequence.  A variable that the rest does not
+      read drops out of its key (associativity: `do x <- m; do y <- k; r` is
+      `do y <- (do x <- m; k); r` when `r` does not read `x`), so a chain in
+      which each binder reads only the one before is evaluated in linear time.
+      Misses are evaluated in the order in which `bind_gcm` first calls its
+      continuation, so the first error raised is the one nested binds raise.
+      Each such binder costs four frames of recursion, so about 250 of them
+      in one chain reach the interpreter's recursion limit.
     """
-    stack: List[_Level] = []
-    while True:
-        while isinstance(e, Bind):
-            bound = eval_expr(e.bound, env)
-            if e.used:
-                level = _Level(e, env, bound)
-                if len(level.values) > 1:
-                    stack.append(level)
-                env = {**env, e.var: level.values[0]}
-            e = e.body
-        value = eval_expr(e, env)
-        while stack:
-            level = stack[-1]
-            level.results.append(value)
-            done = len(level.results)
-            if done < len(level.values):
-                env = {**level.env, level.node.var: level.values[done]}
-                e = level.node.body
-                break
-            stack.pop()
-            table = dict(zip(level.keys, level.results))
-            value = bind_gcm(level.bound, lambda a: table[outcome_key(a)])
-        else:
-            return value
+    while isinstance(e, Bind):
+        bound = eval_expr(e.bound, env)
+        if e.live is None or e.var in e.live:
+            gens = bound.generators
+            if len(gens) > 1 or len(gens[0].outcomes) > 1:
+                return bind_gcm(bound, partial(_eval_rest, e, env, memo))
+            env = {**env, e.var: gens[0].outcomes[0]}
+        e = e.body
+    return eval_expr(e, env)
+
+
+def _eval_rest(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal], a: Outcome) -> GcmVal:
+    """The body of `e` with its variable bound to `a`, through `memo`."""
+    env = {**env, e.var: a}
+    key = (id(e), *[outcome_key(env[v]) for v in (env if e.live is None else e.live)])
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _eval_do(e.body, env, memo)
+    return value
 
 
 def run(text: str) -> GcmVal:

@@ -221,7 +221,7 @@ def _binders(n, last):
 
 
 def test_eval_long_do_sequence(capsys, monkeypatch):
-    # evaluation walks a do sequence on an explicit stack, not one frame per binder
+    # a binder bound to one value is a step of a loop, not a frame of recursion
     for n, last, want in [(200, "x0", "{0: 1}"), (2000, "x1999", "{1999: 1}")]:
         monkeypatch.setattr("sys.stdin", io.StringIO(_binders(n, last)))
         code = cli_main(["eval", "-"])

@@ -1,18 +1,22 @@
 """`do` sequences are settled by the monad laws where one applies.
 
-A binder whose bound value is `ret a` binds `a` in place, one that the parser
-marks unread binds nothing, and any other evaluates the rest of the sequence
-once per distinct bound value.  The reference evaluator below is the plain
+A binder whose bound value is `ret a` binds `a` in place, one whose variable
+the rest does not read (it is not in `Bind.live`) binds nothing, and after any
+other the rest of the sequence is evaluated once per distinct tuple of values
+of the variables it reads.  The reference evaluator below is the plain
 definition: nested `bind_gcm` calls whose continuations recurse, so the rest
 of a sequence is evaluated once per entry of every generator.  `eval_expr`
 must give the same value, or raise the same first error, on every program.
 """
 
+import io
 import random
+import time
 
 import pytest
 
 from convexchoice import programs
+from convexchoice.cli import cli_main
 from convexchoice.gcm import alt_gcm, bind_gcm, choice_gcm, ret_gcm
 from convexchoice.programs import (
     Alt,
@@ -120,6 +124,12 @@ def test_eval_agrees_with_the_reference_evaluator():
             "(do x <- ret (x == 1); ret x) [~] ret 0",
             "{true: 1}\n{false: 1}\n{0: 1}",
         ),
+        # a parenthesized body whose rest reads the outer variable as well as
+        # its own: 2 x 2 generators
+        (
+            "do x <- arbitrary 0 [1, 2]; (do y <- arbitrary 0 [3, 4]; uniform 0 [x, y])",
+            "{1: 1/2, 3: 1/2}\n{1: 1/2, 4: 1/2}\n{2: 1/2, 3: 1/2}\n{2: 1/2, 4: 1/2}",
+        ),
     ],
 )
 def test_do_sequence_hand_cases(source, want):
@@ -151,7 +161,7 @@ def test_k8_program_builds_one_ret_per_pair_it_reads(monkeypatch):
 def test_hand_built_bind_is_read_by_default():
     y = Bind("y", Uniform(Lit(0), (Lit(3), Lit(4))), Ret(Var("x")))
     e = Bind("x", Arbitrary(Lit(0), (Lit(1), Lit(2))), y)
-    assert e.used and y.used
+    assert e.live is None and y.live is None
     assert render(eval_expr(e)) == "{1: 1}\n{2: 1}"
     assert eval_expr(e) == _reference(e, {})
 
@@ -188,29 +198,152 @@ def _binders(e):
         yield from _binders(e.right)
 
 
-def test_parser_marks_a_binder_read_exactly_when_its_body_reads_its_variable():
+def test_parser_records_the_free_variables_of_each_binders_body():
     hand = {
         # shadowing: the inner x is read, the outer one is not
-        "do x <- ret 1; do x <- ret true; ret x": [False, True],
+        "do x <- ret 1; do x <- ret true; ret x": [(), ("x",)],
         # a bound that reads the outer variable of its own name
-        "do x <- ret 1; do x <- ret (x == 1); ret 0": [True, False],
+        "do x <- ret 1; do x <- ret (x == 1); ret 0": [("x",), ()],
         # a nested do, read through and shadowed inside an operand
-        "do x <- ret 1; (do x <- ret 0; ret x) [~] ret 2": [False, True],
-        "do x <- ret 1; do y <- ret 2; (do z <- ret x; ret z) <|1/2|> ret 0": [True, False, True],
+        "do x <- ret 1; (do x <- ret 0; ret x) [~] ret 2": [(), ("x",)],
+        "do x <- ret 1; do y <- ret 2; (do z <- ret x; ret z) <|1/2|> ret 0": [
+            ("x",), ("x",), ("z",)
+        ],
+        # a parenthesized body reads the outer sequence's variable
+        "do x <- arbitrary 0 [1, 2]; (do y <- arbitrary 0 [3, 4]; uniform 0 [x, y])": [
+            ("x",), ("x", "y")
+        ],
+        # a name shadowed inside a parenthesized body, and read after it
+        "do x <- ret 1; do y <- ret 2; ((do x <- ret y; ret x) [~] ret x)": [
+            ("x",), ("x", "y"), ("x",)
+        ],
         # value lists and ==
-        "do a <- ret 1; do b <- ret 2; uniform a [0, (b == 2)]": [True, True],
-        "do a <- ret 1; do b <- ret 2; arbitrary 0 [(1 == a)]": [True, False],
+        "do a <- ret 1; do b <- ret 2; uniform a [0, (b == 2)]": [("a",), ("a", "b")],
+        "do a <- ret 1; do b <- ret 2; arbitrary 0 [(1 == a)]": [("a",), ("a",)],
     }
     for source, want in hand.items():
         binders = list(_binders(parse(source)))
-        assert [b.used for b in binders] == want, source
-        assert [b.used for b in binders] == [b.var in _free_vars(b.body) for b in binders]
+        assert [b.live for b in binders] == want, source
+        assert [set(b.live) for b in binders] == [_free_vars(b.body) for b in binders]
     rng = random.Random(1212)
     read = unread = 0
     for i in range(400):
         e = _gen_sequence(rng) if i % 2 else _gen_expr(rng, frozenset(), rng.randint(1, 4))
         for b in _binders(parse(render_expr(e))):
-            assert b.used == (b.var in _free_vars(b.body)), render_expr(b)
-            read += b.used
-            unread += not b.used
+            assert set(b.live) == _free_vars(b.body), render_expr(b)
+            read += b.var in b.live
+            unread += b.var not in b.live
     assert read > 200 and unread > 200
+
+
+# --- source fuzz: nested bodies that read earlier multi-valued binders -----
+
+_FUZZ_VARS = ("x", "y", "z")
+_FUZZ_LITS = {"int": ("0", "1", "2"), "bool": ("true", "false")}
+
+
+def _src_value(rng, scope, kind):
+    """A value of `kind` read from `scope` [(variable, kind)] or a literal;
+    about one comparison in 20 is of values of different kinds, a type error."""
+    names = [v for v, k in scope if k == kind]
+    r = rng.random()
+    if names and r < 0.6:
+        return rng.choice(names)
+    if kind == "bool" and scope and r < 0.85:
+        var, var_kind = rng.choice(scope)
+        other = var_kind if rng.random() > 0.05 else ("bool" if var_kind == "int" else "int")
+        return f"({var} == {rng.choice(_FUZZ_LITS[other])})"
+    return rng.choice(_FUZZ_LITS[kind])
+
+
+def _src_values(rng, scope, kind):
+    return ", ".join(_src_value(rng, scope, kind) for _ in range(rng.randint(1, 3)))
+
+
+def _src_bound(rng, scope, kind, depth):
+    """A bound expression, most often of several values."""
+    shape = rng.choice(("arbitrary", "uniform", "alt", "choice", "ret", "do"))
+    if shape in ("arbitrary", "uniform"):
+        return f"{shape} {_src_value(rng, scope, kind)} [{_src_values(rng, scope, kind)}]"
+    if shape == "alt" or shape == "choice":
+        op = " [~] " if shape == "alt" else f" <|1/{rng.randint(2, 3)}|> "
+        return f"ret {_src_value(rng, scope, kind)}{op}ret {_src_value(rng, scope, kind)}"
+    if shape == "do" and depth:
+        return f"({_src_sequence(rng, scope, kind, depth - 1)})"
+    return f"ret {_src_value(rng, scope, kind)}"
+
+
+def _src_sequence(rng, scope, kind, depth):
+    """A `do` sequence of one to three binders whose rest is of `kind`; the rest
+    is often a parenthesized sequence, which shares the evaluation of the
+    outer one, and sometimes an operand of `[~]`, which does not."""
+    heads = []
+    for _ in range(rng.randint(1, 3)):
+        var, var_kind = rng.choice(_FUZZ_VARS), rng.choice(("int", "bool"))
+        heads.append(f"do {var} <- {_src_bound(rng, scope, var_kind, depth)}; ")
+        scope = [(v, k) for v, k in scope if v != var] + [(var, var_kind)]
+    r = rng.random()
+    if depth and r < 0.5:
+        rest = f"({_src_sequence(rng, scope, kind, depth - 1)})"
+        if r < 0.1:
+            rest += f" [~] ret {_src_value(rng, scope, kind)}"
+    elif r < 0.8:
+        shape = rng.choice(("uniform", "arbitrary"))
+        rest = f"{shape} {_src_value(rng, scope, kind)} [{_src_values(rng, scope, kind)}]"
+    else:
+        rest = f"ret {_src_value(rng, scope, kind)}"
+    return "".join(heads) + rest
+
+
+def test_source_fuzz_agrees_with_the_reference_evaluator():
+    rng = random.Random(1818)
+    kinds = []
+    for _ in range(300):
+        source = _src_sequence(rng, [], rng.choice(("int", "bool")), 2)
+        ast = parse(source)
+        got = _outcome(lambda e: eval_expr(e, {}), ast)
+        want = _outcome(lambda e: _reference(e, {}), ast)
+        assert got == want, source
+        kinds.append(got[0])
+    assert kinds.count("ok") > 150 and kinds.count("error") > 30
+
+
+# --- chains: each binder reads the one before ------------------------------
+
+
+def _chain(n):
+    heads = ["do x1 <- arbitrary true [true, false]; "]
+    for i in range(2, n + 1):
+        heads.append(f"do x{i} <- arbitrary true [(x{i - 1} == true), (x{i - 1} == false)]; ")
+    return "".join(heads) + f"ret x{n}"
+
+
+def _eval_stdin(capsys, monkeypatch, source, *flags):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code = cli_main(["eval", *flags, "-"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("n, calls", [(8, 30), (16, 62), (24, 94)])
+def test_chain_canonicalizes_linearly(capsys, monkeypatch, n, calls):
+    # 4n - 2: a binder's rest is evaluated once per value of its own variable,
+    # which is all that the rest reads
+    code, out, err = _eval_stdin(capsys, monkeypatch, _chain(n), "--stats")
+    assert (code, out) == (0, "{true: 1}\n{false: 1}\n")
+    assert f" canonicalize_calls={calls} " in err
+
+
+def test_long_chains_evaluate():
+    for n in (64, 200):
+        start = time.perf_counter()
+        got = run(_chain(n))
+        assert time.perf_counter() - start < 1.0  # under 0.05 s on a 2-core host
+        assert render(got) == "{true: 1}\n{false: 1}"
+
+
+def test_chain_past_the_recursion_limit_is_one_error_line(capsys, monkeypatch):
+    # each binder that binds several values costs a few frames of recursion
+    code, out, err = _eval_stdin(capsys, monkeypatch, _chain(1000))
+    assert (code, out) == (1, "")
+    assert err == "error: program nested too deeply to evaluate\n"

@@ -3,8 +3,9 @@ before the scanner read the text with one `findall` into flat token lists.
 
 The reference shares only the AST classes and `SourceError` with
 `convexchoice.programs`.  Both parse the same inputs, and each must give the
-same error text or an equal tree with the same `repr`, the same position on
-every node and the same `Bind.used` (`==` and `repr` ignore those two).
+same error text or an equal tree with the same `repr` and the same position on
+every `Var` and `Eq` (`==` and `repr` ignore positions).  Every parsed
+`Bind.live`, taken as a set, must be the free variables of the binder's body.
 """
 
 import random
@@ -31,6 +32,7 @@ from convexchoice.programs import (
     parse,
     render_expr,
 )
+from test_eval_do import _free_vars
 from test_programs import _gen_expr
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -105,8 +107,8 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.depth = 0
-        # name -> whether each enclosing binder of it is read so far, innermost last
-        self.scope: Dict[str, List[bool]] = {}
+        # name -> how many enclosing binders bind it
+        self.scope: Dict[str, int] = {}
         self.unbound: Optional[SourceError] = None  # the first, in source order
 
     def peek(self) -> _Token:
@@ -150,39 +152,39 @@ class _Parser:
     def parse_expr(self) -> Expr:
         # A `do` sequence is read in a loop and its binders are nested from the
         # last one back, so a long sequence does not recurse.  Each variable is
-        # in scope from the end of its bound expression to the end of this one,
-        # and its binder is marked read when a variable resolves to it there.
+        # in scope from the end of its bound expression to the end of this one.
         heads = []
         scope = self.scope
         while self.peek().kind == "DO":
-            tok = self.next()
+            self.next()
             var = self.expect("VAR", "a variable name").text
             self.expect("ARROW", "'<-'")
             bound = self.parse_alt()
             self.expect("SEMI", "';'")
-            scope.setdefault(var, []).append(False)
-            heads.append((var, bound, tok.pos))
+            scope[var] = scope.get(var, 0) + 1
+            heads.append((var, bound))
         expr = self.parse_alt()
-        for var, bound, pos in reversed(heads):
-            expr = Bind(var, bound, expr, pos=pos, used=scope[var].pop())
+        for var, bound in reversed(heads):
+            scope[var] -= 1
+            expr = Bind(var, bound, expr)
         return expr
 
     def parse_alt(self) -> Expr:
         left = self.parse_choice()
         while self.peek().kind == "ALT":
-            op = self.next()
+            self.next()
             right = self.parse_choice()
-            left = Alt(left, right, pos=op.pos)
+            left = Alt(left, right)
         return left
 
     def parse_choice(self) -> Expr:
         left = self.parse_primary()
         while self.peek().kind == "LCHOICE":
-            op = self.next()
+            self.next()
             p = self.parse_prob()
             self.expect("RCHOICE", "'|>'")
             right = self.parse_primary()
-            left = Choice(p, left, right, pos=op.pos)
+            left = Choice(p, left, right)
         return left
 
     def parse_prob(self) -> Prob:
@@ -202,7 +204,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "RET":
             self.next()
-            return Ret(self.parse_value(), pos=tok.pos)
+            return Ret(self.parse_value())
         if tok.kind in ("UNIFORM", "ARBITRARY"):
             self.next()
             default = self.parse_value()
@@ -215,7 +217,7 @@ class _Parser:
                     items.append(self.parse_value())
             self.expect("RBRACKET", "']'")
             node = Uniform if tok.kind == "UNIFORM" else Arbitrary
-            return node(default, tuple(items), pos=tok.pos)
+            return node(default, tuple(items))
         if tok.kind == "LPAREN":
             self.open_paren()
             inner = self.parse_expr()
@@ -227,22 +229,19 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "TRUE":
             self.next()
-            return Lit(True, pos=tok.pos)
+            return Lit(True)
         if tok.kind == "FALSE":
             self.next()
-            return Lit(False, pos=tok.pos)
+            return Lit(False)
         if tok.kind == "INT":
             self.next()
-            return Lit(self.integer(tok), pos=tok.pos)
+            return Lit(self.integer(tok))
         if tok.kind == "SYMBOL":
             self.next()
-            return Lit(tok.text, pos=tok.pos)
+            return Lit(tok.text)
         if tok.kind == "VAR":
             self.next()
-            reads = self.scope.get(tok.text)
-            if reads:
-                reads[-1] = True
-            elif self.unbound is None:
+            if not self.scope.get(tok.text) and self.unbound is None:
                 msg = f"unbound variable {_quote(tok.text)}"
                 self.unbound = SourceError("unbound-variable", *tok.pos, msg)
             return Var(tok.text, pos=tok.pos)
@@ -286,13 +285,16 @@ def _children(node):
 
 
 def _assert_same_positions(got, want, text):
+    """The same position on every `Var` and `Eq`; every `Bind.live` of `got`
+    the free variables of its body."""
     pairs = [(got, want)]
     while pairs:
         a, b = pairs.pop()
         assert type(a) is type(b) and isinstance(a, _NODES), text
-        assert a.pos == b.pos, (text, a, a.pos, b.pos)
+        if isinstance(a, (Var, Eq)):
+            assert a.pos == b.pos, (text, a, a.pos, b.pos)
         if isinstance(a, Bind):
-            assert a.used == b.used, (text, a)
+            assert set(a.live) == _free_vars(a.body), (text, a)
         kids_a, kids_b = _children(a), _children(b)
         assert len(kids_a) == len(kids_b), text
         pairs.extend(zip(kids_a, kids_b))
