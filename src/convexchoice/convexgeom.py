@@ -17,8 +17,9 @@ exact, so it needs no tolerance.  `in_hull` builds a form for one query; a
 `NECSet` keeps the form of its generators for all of its queries.
 
 `minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
-from their extreme points, with the same pivot loop on a Gordan system per
-generator pair; it backs probabilistic choice on sets.
+from their extreme points: forcing on bitmasks settles most generator pairs,
+and the same pivot loop on a Gordan system decides the rest.  It backs
+probabilistic choice on sets.
 
 A brute-force Caratheodory enumeration (`in_hull_oracle`) serves as an
 independent oracle for the same question: it shares no code with the form or
@@ -30,6 +31,9 @@ the pruning changes no answer, only how many `Fraction` solves run.
 
 `canonicalize` keeps a list of distinct point masses as it is: they are
 vertices of the simplex, so no hull work is needed to find them extreme.
+Otherwise a point alone at the maximum or minimum of a coordinate, or of the
+difference of two coordinates (at most 2 * coordinates of those), is extreme
+with no LP, and each point left gets one LP.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
@@ -284,22 +288,22 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
     return not obj[-1]
 
 
-def _unforced(columns: List[List[int]]) -> List[List[int]]:
-    """The columns left free in sum_j x_j * columns[j] = 0 with x >= 0.
+def _order_masks(points: Sequence[Sequence[int]], shift: int = 0) -> List[Tuple[Tuple[int, int], ...]]:
+    """Per point and coordinate, the bitmasks of the points strictly above and strictly below it.
 
-    A row whose nonzero entries all have one sign forces their columns to 0;
-    dropping those columns may let another row do the same, so it repeats.
+    Point b of `points` is bit `shift + b`.
     """
-    while columns:
-        forced = set()
-        for r in range(len(columns[0])):
-            signs = {col[r] > 0 for col in columns if col[r]}
-            if len(signs) == 1:
-                forced.update(j for j, col in enumerate(columns) if col[r])
-        if not forced:
-            break
-        columns = [col for j, col in enumerate(columns) if j not in forced]
-    return columns
+    per_row = []
+    for row in zip(*points):
+        at: Dict[int, int] = {}
+        for b, v in enumerate(row, shift):
+            at[v] = at.get(v, 0) | 1 << b
+        below, acc = {}, 0
+        for v in sorted(at):
+            below[v] = acc
+            acc |= at[v]
+        per_row.append([(acc ^ below[v] ^ at[v], below[v]) for v in row])
+    return list(zip(*per_row))
 
 
 def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int, int]]:
@@ -318,23 +322,35 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
     such c exists exactly when some lambda, mu >= 0 with sum lambda + sum mu
     = 1 have sum_a lambda_a (x_a - x_i) + sum_b mu_b (y_b - y_j) = 0.  All
     points are read from the rows of one `HullForm` of both lists, integers
-    over its common scale, so the differences are integer columns.
-    `_unforced` first drops the columns that a single-signed coordinate
-    forces to 0; when none are left the pair is kept with no LP (this covers
-    xs[i] and ys[j] being the unique maximum, or both the unique minimum, of
-    one coordinate), and otherwise one LP over the columns left decides it.
+    over its common scale.  A coordinate on which every live column x_a - x_i
+    or y_b - y_j has one sign forces those columns to 0, until none does; the
+    columns left do not depend on the order.  This runs on bitmasks of the
+    live columns, from the points above and below each point per coordinate,
+    built once per call.  When no column is left the pair is kept with no LP
+    (this covers xs[i] and ys[j] being the unique maximum, or both the unique
+    minimum, of one coordinate); otherwise the columns left are built, in
+    index order, and one LP over them decides it.
     """
     if len(xs) == 1 or len(ys) == 1:
         return [(i, j) for i in range(len(xs)) for j in range(len(ys))]
     points = list(zip(*HullForm([*xs, *ys]).rows[1]))
-    xc, yc = points[: len(xs)], points[len(xs) :]
+    nx = len(xs)
+    xc, yc = points[:nx], points[nx:]
+    full, ymasks = (1 << len(points)) - 1, _order_masks(yc, nx)
     kept = []
-    for i, xi in enumerate(xc):
-        for j, yj in enumerate(yc):
-            columns = [[u - v for u, v in zip(x, xi)] for a, x in enumerate(xc) if a != i]
-            columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if b != j]
-            columns = _unforced(columns)
-            if columns:
+    for i, xm in enumerate(_order_masks(xc)):
+        for j, ym in enumerate(ymasks):
+            live, before = full ^ (1 << i) ^ (1 << (nx + j)), 0
+            while live and live != before:
+                before = live
+                for (ax, bx), (ay, by) in zip(xm, ym):
+                    up, down = (ax | ay) & live, (bx | by) & live
+                    if (not up) != (not down):
+                        live &= ~(up | down)
+            if live:
+                xi, yj = xc[i], yc[j]
+                columns = [[u - v for u, v in zip(x, xi)] for a, x in enumerate(xc) if live >> a & 1]
+                columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if live >> (nx + b) & 1]
                 tab = [[*row, 0] for row in zip(*columns) if any(row)]
                 tab.append([1] * (len(columns) + 1))  # sum lambda + sum mu = 1
                 if _pivot_feasible(tab, len(columns)):
@@ -440,12 +456,14 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     keys, so no generator is hashed.
 
     The pass is output-sensitive: a point that is the only one to reach the
-    maximum (or the minimum) of some coordinate among the distinct
-    generators is extreme without an LP, because a convex combination of the
-    others never leaves the range their values span.  That covers every
-    point owning a support key no other generator has, and every pair of
-    distinct points.  The remaining points each get one exact LP over the
-    generators still alive; all of them are put in integer coordinates once.
+    maximum (or the minimum) of some coordinate, or of the difference of two
+    coordinates, among the distinct generators is extreme without an LP,
+    because a convex combination of the others never leaves the range their
+    values span.  That covers every point owning a support key no other
+    generator has, and every pair of distinct points.  `_extreme_points`
+    reads at most 2 * coordinates such differences.  The remaining points
+    each get one exact LP over the generators still alive; all of them are
+    put in integer coordinates once.
     When every distinct generator is a point mass, as the values of `ret`
     and `arbitrary` are, they sit on distinct vertices of the simplex, so
     all of them are kept with no integer form built at all.
@@ -469,18 +487,24 @@ _KEY = attrgetter("key")
 def _extreme_points(unique: List[Dist]) -> List[Dist]:
     """The extreme points of at least three distinct sorted generators.
 
-    A generator alone at the maximum or the minimum of one row of `rows` is
-    extreme; a row's minimum is 0 where generators lack its outcome.
+    A generator alone at the maximum or the minimum of a linear functional is
+    extreme (Dula & Helgason, EJOR 1996).  The functionals tried are each row
+    of `rows` (a row's minimum is 0 where generators lack its outcome), then
+    row_r - row_s for the first 2 * len(rows) row pairs (all of them for 5
+    rows or fewer), so the pass is O(rows * n).  It stops once every point is
+    settled; each point left gets one LP over the others still alive.
     """
     n = len(unique)
     form = HullForm(unique)
+    rows = form.rows[1]
+    pairs = itertools.islice(itertools.combinations(rows, 2), 2 * len(rows))
     extreme = set()
-    for row in form.rows[1]:
+    for row in itertools.chain(rows, ([*map(sub, r, s)] for r, s in pairs)):
         for v in (max(row), min(row)):
             if row.count(v) == 1:
                 extreme.add(row.index(v))
-    if len(extreme) == n:
-        return unique
+        if len(extreme) == n:
+            return unique
     coords = form.columns
     alive = [True] * n
     for i in range(n):

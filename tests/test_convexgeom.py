@@ -296,6 +296,70 @@ def _lp_calls(fn, *args):
         stats.stop()
 
 
+def test_canonicalize_settles_a_row_difference_maximum_with_no_lp():
+    # a quadrilateral on the simplex over a, b, c: neither point on its
+    # a = 1/2 edge is alone at any coordinate's maximum or minimum, but each
+    # is alone at the maximum of a - b or of a - c
+    s, t = point("b"), point("c")
+    v, u = d_of(("a", 1, 2), ("c", 1, 2)), d_of(("a", 1, 2), ("b", 1, 2))
+    rows = HullForm([s, t, v, u]).rows[1]
+    for row in rows:
+        for w in (max(row), min(row)):
+            assert row.count(w) > 1 or row.index(w) in (0, 1)
+    got, lps = _lp_calls(canonicalize, [s, t, v, u])
+    assert (got, lps) == (sorted([s, t, v, u]), 0)
+    # with an interior point added, only that point needs an LP
+    centre = d_of(("a", 1, 4), ("b", 3, 8), ("c", 3, 8))
+    got, lps = _lp_calls(canonicalize, [s, t, v, u, centre])
+    assert (got, lps) == (sorted([s, t, v, u]), 1)
+
+
+def test_row_difference_pass_reads_at_most_two_pairs_per_row(monkeypatch):
+    # three points with full support over 200 outcomes and the midpoint of two
+    # of them: no functional settles the midpoint, so the pass runs to its bound
+    rng = random.Random(31)
+    ends = []
+    for _ in range(3):
+        w = [rng.randint(1, 12) for _ in range(200)]
+        ends.append(from_pairs((k, Fraction(x, sum(w))) for k, x in enumerate(w)))
+    mid = from_pairs([(k, w / 2) for k, w in ends[0].entries] + [(k, w / 2) for k, w in ends[1].entries])
+    subtractions = []
+    real_sub = convexgeom.sub
+
+    def counted(a, b):
+        subtractions.append(1)
+        return real_sub(a, b)
+
+    monkeypatch.setattr(convexgeom, "sub", counted)
+    got, lps = _lp_calls(canonicalize, [*ends, mid])
+    assert (got, lps) == (sorted(ends), 1)
+    # one subtraction per generator for each difference row read
+    assert len(subtractions) == 4 * 2 * 200
+
+
+def _wide_instance(rng):
+    """Points over six to nine outcomes with weights 0-2, and mixtures of some of them."""
+    keys = rng.sample(range(9), rng.randint(6, 9))
+    gens = []
+    for _ in range(rng.randint(3, 6)):
+        weights = [rng.randint(0, 2) for _ in keys]
+        if not any(weights):
+            weights[0] = 1
+        gens.append(from_pairs((k, Fraction(w, sum(weights))) for k, w in zip(keys, weights) if w))
+    for _ in range(rng.randint(0, 3)):
+        picked = rng.sample(gens, 2)
+        gens.append(from_pairs((k, w / 2) for g in picked for k, w in g.entries))
+    return gens
+
+
+def test_canonicalize_matches_oracle_reference_past_the_pair_bound():
+    # six or more outcomes, so the difference pass stops before reading every row pair
+    rng = random.Random(32)
+    for _ in range(60):
+        gens = _wide_instance(rng)
+        assert canonicalize(gens) == _extreme_reference(gens), gens
+
+
 def test_canonicalize_point_masses_match_the_general_path(monkeypatch):
     forms = []
 

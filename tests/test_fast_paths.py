@@ -4,6 +4,9 @@ Each reference below is the plain definition, kept only here:
 
 - `conv_necset` mixes only the generator pairs that `minkowski_vertices`
   keeps; the reference mixes every pair and puts the products in normal form.
+- `minkowski_vertices` forces columns to 0 on bitmasks and builds difference
+  columns only for the pairs an LP decides; the reference builds every
+  pair's columns, drops the forced ones by `_unforced`, and runs the same LP.
 - `conv_dist` mixes the integer numerators of both distributions; the
   reference re-canonicalizes the scaled `Fraction` entries with `from_pairs`.
 - `mix_necsets` sums point images into one translation, merges equal sets
@@ -18,7 +21,7 @@ import random
 from fractions import Fraction
 
 from convexchoice import stats
-from convexchoice.convexgeom import barycenter, minkowski_vertices
+from convexchoice.convexgeom import HullForm, _pivot_feasible, barycenter, minkowski_vertices
 from convexchoice.dist import Dist, conv_dist, from_pairs, map_dist, point
 from convexchoice.gcm import bind_gcm, bind_gcm_direct, join_gcm
 from convexchoice.necset import (
@@ -159,6 +162,99 @@ def test_minkowski_vertex_lp_counts_are_pinned():
     y = _segment(_w(("a", 1, 2), ("b", 1, 2)), _w(("a", 1, 2), ("c", 1, 2)))
     pairs, lps = _lp_count(minkowski_vertices, x.generators, y.generators)
     assert (pairs, lps) == ([(0, 0), (0, 1), (1, 0), (1, 1)], 0)
+
+
+def _unforced(columns):
+    """The columns left free in sum_j x_j * columns[j] = 0 with x >= 0.
+
+    A row whose nonzero entries all have one sign forces their columns to 0;
+    dropping those columns may let another row do the same, so it repeats.
+    """
+    while columns:
+        forced = set()
+        for r in range(len(columns[0])):
+            signs = {col[r] > 0 for col in columns if col[r]}
+            if len(signs) == 1:
+                forced.update(j for j, col in enumerate(columns) if col[r])
+        if not forced:
+            break
+        columns = [col for j, col in enumerate(columns) if j not in forced]
+    return columns
+
+
+def _minkowski_vertices_ref(xs, ys):
+    """Every pair's difference columns, then `_unforced`, then the Gordan LP on what is left."""
+    if len(xs) == 1 or len(ys) == 1:
+        return [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+    points = list(zip(*HullForm([*xs, *ys]).rows[1]))
+    xc, yc = points[: len(xs)], points[len(xs) :]
+    kept = []
+    for i, xi in enumerate(xc):
+        for j, yj in enumerate(yc):
+            columns = [[u - v for u, v in zip(x, xi)] for a, x in enumerate(xc) if a != i]
+            columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if b != j]
+            columns = _unforced(columns)
+            if columns:
+                tab = [[*row, 0] for row in zip(*columns) if any(row)]
+                tab.append([1] * (len(columns) + 1))
+                if _pivot_feasible(tab, len(columns)):
+                    continue
+            kept.append((i, j))
+    return kept
+
+
+def _lp_work(fn, *args):
+    stats.start()
+    try:
+        result = fn(*args)
+    finally:
+        stats.stop()
+    return result, stats.lp_calls, stats.pivots
+
+
+def _tied_set(rng, keys, most):
+    """Weights 0-2 over `keys`, so coordinates often tie between points."""
+    gens = []
+    for _ in range(rng.randint(1, most)):
+        weights = [rng.randint(0, 2) for _ in keys]
+        if not any(weights):
+            weights[rng.randrange(len(keys))] = 1
+        gens.append(from_pairs((k, Fraction(w, sum(weights))) for k, w in zip(keys, weights) if w))
+    return from_generators(gens)
+
+
+def _parallel_segments(rng, keys):
+    """A segment and a shorter or reversed copy of it, translated."""
+    a, c = rng.sample(keys, 2), rng.sample(keys, 2)
+    t = Fraction(rng.choice([0, 1, 3]), 4)
+    x = _segment([(a[0], Fraction(1))], [(a[1], Fraction(1))])
+    base = [(c[0], Fraction(1, 4)), (c[1], Fraction(1, 4))]
+    ends = [[(a[0], t / 2), (a[1], (1 - t) / 2)], [(a[1], t / 2), (a[0], (1 - t) / 2)]]
+    rng.shuffle(ends)
+    return x, _segment(base + ends[0], base + ends[1])
+
+
+def test_minkowski_vertices_match_the_per_pair_reference():
+    rng = random.Random(26)
+    keys = ["a", "b", "c", "d", True, 1]
+    cases = []
+    for _ in range(300):
+        picked = rng.sample(keys, rng.randint(2, 5))
+        x = _tied_set(rng, picked, 6)
+        # y shares some of x's coordinates and may have its own
+        y = _tied_set(rng, rng.sample(keys, rng.randint(1, 3)) + picked[:2], 6)
+        cases.append((x, y))
+    cases += [_parallel_segments(rng, keys) for _ in range(60)]
+    cases += [(_random_set(rng, keys), _random_set(rng, keys)) for _ in range(100)]
+    seen = {"lp": 0, "no lp": 0, "singleton": 0, "dropped": 0}
+    for x, y in cases:
+        for xs, ys in ((x.generators, y.generators), (y.generators, x.generators)):
+            want = _lp_work(_minkowski_vertices_ref, xs, ys)
+            assert _lp_work(minkowski_vertices, xs, ys) == want, (xs, ys)
+            seen["singleton"] += min(len(xs), len(ys)) == 1
+            seen["lp" if want[1] else "no lp"] += 1
+            seen["dropped"] += len(want[0]) < len(xs) * len(ys)
+    assert min(seen.values()) > 50, seen
 
 
 def test_conv_dist_matches_from_pairs():

@@ -200,7 +200,7 @@ def test_simplex_feasible_on_full_support_right_hand_sides():
 
 def test_law_suite_lp_counts_are_pinned():
     _, counts = _counted(check_all, GenConfig(trials=10, seed=42))
-    assert counts == (987, 3070)
+    assert counts == (692, 2389)
 
 
 def _random_dist(rng, d):
@@ -211,7 +211,7 @@ def _random_dist(rng, d):
 def test_member_lp_counts_on_a_seeded_hull_are_pinned():
     rng = random.Random(5)
     hull, counts = _counted(from_generators, [_random_dist(rng, 8) for _ in range(32)])
-    assert (len(hull.generators), counts) == (31, (18, 162))
+    assert (len(hull.generators), counts) == (31, (13, 124))
     gens = hull.generators
     queries = []
     for q in range(40):
