@@ -5,8 +5,9 @@ index of the supported outcomes and one column of integer weights per
 generator.  A membership query maps the point into that index and answers
 with no LP in three cases: False when the point has weight on an outcome no
 generator has, True when its row equals a generator's column, and False when
-one of its weights lies outside the range that coordinate spans over the
-generators (kept once per form, compared as integers).  Otherwise it runs a
+its value on a coordinate, or on a difference of two (`_functionals`), lies
+outside the range that functional spans over the generators (kept once per
+form, compared as integers).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
 presolve, no artificial columns, the largest reduced cost until the first
 degenerate pivot and Bland's rule after it, so it terminates, and an early
@@ -31,9 +32,8 @@ the pruning changes no answer, only how many `Fraction` solves run.
 
 `canonicalize` keeps a list of distinct point masses as it is: they are
 vertices of the simplex, so no hull work is needed to find them extreme.
-Otherwise a point alone at the maximum or minimum of a coordinate, or of the
-difference of two coordinates (at most 2 * coordinates of those), is extreme
-with no LP, and each point left gets one LP.
+Otherwise a point that is one of at most two at the maximum or minimum of one
+of those functionals is extreme with no LP, and each point left gets one LP.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, sub
-from typing import Callable, Dict, FrozenSet, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
 from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
@@ -134,15 +134,30 @@ def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
     return tuple(row)
 
 
+def _row_sub(r: Sequence[int], s: Sequence[int]) -> List[int]:
+    return [*map(sub, r, s)]
+
+
+def _functionals(rows: Sequence, diff: Callable) -> Iterator:
+    """The functionals hull work reads, lazily: each of `rows`, then `diff(row_r, row_s)`
+    for the first 2 * len(rows) pairs of `itertools.combinations` (all for 5 rows or fewer).
+
+    Over a form's rows (`diff` is `_row_sub`) it yields each functional's values
+    on the generators; over a point's row (`diff` is `sub`), the point's own.
+    """
+    pairs = itertools.islice(itertools.combinations(rows, 2), 2 * len(rows))
+    return itertools.chain(rows, itertools.starmap(diff, pairs))
+
+
 class HullForm:
     """The integer form of a generator list, read by every hull query on it.
 
     `index` numbers the supported outcomes; `columns` holds each generator's
     `_int_coords`, `column_set` the same tuples for lookup, `rows` the
-    weights of each coordinate over one common scale, and `ranges` their
-    span.  All are built on first use, so `canonicalize` pays for no lookup
-    set or ranges.  Nothing is changed after it is built, so a form can serve
-    any number of queries.
+    weights of each coordinate over one common scale, and `ranges` the span
+    of every one of `_functionals`.  All are built on first use, so
+    `canonicalize` pays for no lookup set or ranges.  Nothing is changed
+    after it is built, so a form can serve any number of queries.
     """
 
     def __init__(self, generators: Sequence[Dist]) -> None:
@@ -170,22 +185,27 @@ class HullForm:
 
     @cached_attr
     def ranges(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """`(scale, low, high)`: each coordinate's least and greatest weight, times `scale`."""
+        """`(scale, low, high)`: each functional's least and greatest value, times `scale`."""
         scale, rows = self.rows
-        return scale, tuple(map(min, rows)), tuple(map(max, rows))
+        values = list(_functionals(rows, _row_sub))
+        return scale, tuple(map(min, values)), tuple(map(max, values))
 
     def contains(self, x: Dist) -> bool:
-        """Exact test for x in the hull, with an LP only when no shortcut answers."""
+        """Exact test for x in the hull, with an LP only when no shortcut answers.
+
+        No LP when x has weight where no generator has, is a generator, or
+        leaves the range of one of `_functionals`, coordinates first.
+        """
         row = _int_coords(x, self.index)
         if row is None:
             return False  # weight where every generator has none
         if row in self.column_set:
             return True  # x is a generator
-        # A mixture keeps every weight inside the range the generators span;
-        # x's weights are row / x.den, compared by cross-multiplication.
+        # A mixture keeps every functional inside the generators' range; x's
+        # values are over x.den, compared by cross-multiplication.
         scale, low, high = self.ranges
         total = x.den
-        for v, lo, hi in zip(row, low, high):
+        for v, lo, hi in zip(_functionals(row, sub), low, high):
             if not lo * total <= v * scale <= hi * total:
                 return False
         # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
@@ -363,8 +383,9 @@ def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
     """Exact test for x in hull(generators), on a form built for this one query.
 
     The answer comes from `HullForm.contains`, with no LP when x has weight on
-    an outcome no generator has or equals a generator.  A `NECSet` keeps its
-    form instead, so `necset.member` builds it once per set.
+    an outcome no generator has, equals a generator, or lies outside a
+    functional's range.  A `NECSet` keeps its form instead, so
+    `necset.member` builds it once per set.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -455,15 +476,13 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     Duplicates are dropped after sorting by key, as neighbours with equal
     keys, so no generator is hashed.
 
-    The pass is output-sensitive: a point that is the only one to reach the
-    maximum (or the minimum) of some coordinate, or of the difference of two
-    coordinates, among the distinct generators is extreme without an LP,
-    because a convex combination of the others never leaves the range their
-    values span.  That covers every point owning a support key no other
-    generator has, and every pair of distinct points.  `_extreme_points`
-    reads at most 2 * coordinates such differences.  The remaining points
-    each get one exact LP over the generators still alive; all of them are
-    put in integer coordinates once.
+    The pass is output-sensitive: a point that is one of at most two to
+    reach the maximum (or the minimum) of some coordinate, or of the
+    difference of two coordinates, among the distinct generators is extreme
+    without an LP (see `_extreme_points`).  That covers every point owning a
+    support key no other generator has.  The remaining points each get one
+    exact LP over the generators still alive; all of them are put in integer
+    coordinates once.
     When every distinct generator is a point mass, as the values of `ret`
     and `arbitrary` are, they sit on distinct vertices of the simplex, so
     all of them are kept with no integer form built at all.
@@ -488,21 +507,24 @@ def _extreme_points(unique: List[Dist]) -> List[Dist]:
     """The extreme points of at least three distinct sorted generators.
 
     A generator alone at the maximum or the minimum of a linear functional is
-    extreme (Dula & Helgason, EJOR 1996).  The functionals tried are each row
-    of `rows` (a row's minimum is 0 where generators lack its outcome), then
-    row_r - row_s for the first 2 * len(rows) row pairs (all of them for 5
-    rows or fewer), so the pass is O(rows * n).  It stops once every point is
-    settled; each point left gets one LP over the others still alive.
+    extreme (Dula & Helgason, EJOR 1996), and so are both of two there: a
+    point that is not extreme is a mixture of the others at that extreme, so
+    with one other it would equal it.  The functionals are the form's
+    `_functionals` (a row's minimum is 0 where generators lack its outcome),
+    so the pass is O(rows * n).  It stops once every point is settled; each
+    point left gets one LP over the others still alive.
     """
     n = len(unique)
     form = HullForm(unique)
-    rows = form.rows[1]
-    pairs = itertools.islice(itertools.combinations(rows, 2), 2 * len(rows))
     extreme = set()
-    for row in itertools.chain(rows, ([*map(sub, r, s)] for r, s in pairs)):
+    for row in _functionals(form.rows[1], _row_sub):
         for v in (max(row), min(row)):
-            if row.count(v) == 1:
-                extreme.add(row.index(v))
+            at = row.count(v)
+            if at <= 2:
+                i = row.index(v)
+                extreme.add(i)
+                if at == 2:
+                    extreme.add(row.index(v, i + 1))
         if len(extreme) == n:
             return unique
     coords = form.columns

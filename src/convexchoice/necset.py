@@ -79,9 +79,10 @@ def member(d: Dist, x: NECSet) -> bool:
     """Exact test for d in x, on the integer form `x` keeps for all its queries.
 
     The form is built on the first query (see `NECSet.hull_form`).  No LP runs
-    when `d` has weight on an outcome no generator has (False) or equals a
-    generator (True); otherwise one simplex runs over the kept columns, which
-    it does not change.
+    when `d` has weight on an outcome no generator has (False), equals a
+    generator (True), or lies outside the range of a coordinate or of a
+    difference of two over the generators (False); otherwise one simplex runs
+    over the kept columns, which it does not change.
     """
     return x.hull_form.contains(d)
 

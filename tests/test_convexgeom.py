@@ -337,6 +337,30 @@ def test_row_difference_pass_reads_at_most_two_pairs_per_row(monkeypatch):
     assert len(subtractions) == 4 * 2 * 200
 
 
+def test_canonicalize_settles_one_of_two_at_an_extreme_with_no_lp():
+    # y = {a: 2/3, c: 1/3} is alone at no functional's maximum or minimum,
+    # but shares the minimum of b with the point mass on a
+    x, y, z = d_of(("a", 2, 3), ("b", 1, 3)), d_of(("a", 2, 3), ("c", 1, 3)), d_of(("b", 1, 3), ("c", 2, 3))
+    gens = sorted([x, y, point("a"), z])
+    i = gens.index(y)
+    form = HullForm(gens)
+    for row in convexgeom._functionals(form.rows[1], convexgeom._row_sub):
+        for v in (max(row), min(row)):
+            assert row.count(v) > 1 or row.index(v) != i
+    assert _lp_calls(canonicalize, gens) == (gens, 0)
+
+
+def test_canonicalize_keeps_the_lp_for_a_third_point_at_an_extreme():
+    # b, c and their midpoint share the minimum of a; the midpoint is no vertex
+    mid = d_of(("b", 1, 2), ("c", 1, 2))
+    got, lps = _lp_calls(canonicalize, [point("a"), point("b"), mid, point("c")])
+    assert (got, lps) == ([point("a"), point("b"), point("c")], 1)
+    # and so do three points on a face at a = 1/4
+    face = [d_of(("a", 1, 4), ("b", k, 8), ("c", 6 - k, 8)) for k in (1, 3, 5)]
+    got, lps = _lp_calls(canonicalize, [*face, point("b"), point("c")])
+    assert got == sorted([face[0], face[2], point("b"), point("c")]) and lps == 1
+
+
 def _wide_instance(rng):
     """Points over six to nine outcomes with weights 0-2, and mixtures of some of them."""
     keys = rng.sample(range(9), rng.randint(6, 9))
@@ -491,12 +515,95 @@ def test_member_beyond_a_coordinate_range_needs_no_lp():
     cases = [
         (d_of(("a", 3, 4), ("b", 1, 4)), False, 0),  # a above its range
         (d_of(("a", 2, 5), ("b", 1, 5), ("c", 2, 5)), False, 0),  # b below its range
-        (d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4)), False, 1),  # in every range, outside
+        (d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4)), False, 0),  # a - b above [-1/2, 0]
         (d_of(("a", 1, 4), ("b", 5, 12), ("c", 1, 3)), True, 1),  # the centre
     ]
     for x, want, lps in cases:
         assert _lp_calls(member, x, hull) == (want, lps), x
         assert in_hull_oracle(x, gens) == want
+    # a triangle with an edge on c = 1/4 from a = 1/2 to 3/4: a point on that
+    # line short of the edge is inside every coordinate and difference range
+    gens = [d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4)), d_of(("a", 3, 4), ("c", 1, 4)), point("b")]
+    x = d_of(("a", 3, 8), ("b", 3, 8), ("c", 1, 4))
+    assert not in_hull_oracle(x, gens)
+    assert _lp_calls(member, x, from_generators(gens)) == (False, 1)
+
+
+def _beyond_vertex(g, c):
+    """g + t (g - c), for half the largest t <= 1 that keeps every weight >= 0; None when that is 0.
+
+    Outside the hull when g is one of its vertices and c is another point of it.
+    """
+    keys = {k for k, _ in g.entries} | {k for k, _ in c.entries}
+    steps = [g.weight(k) / (c.weight(k) - g.weight(k)) for k in keys if c.weight(k) > g.weight(k)]
+    t = min([Fraction(1)] + steps) / 2
+    if not t:
+        return None
+    return from_pairs((k, g.weight(k) + t * (g.weight(k) - c.weight(k))) for k in keys)
+
+
+def _at_functional_ends(rng, gens, keys):
+    """Points whose value on a coordinate or a difference of two is its generators' least or greatest.
+
+    The centre of the generators at that end, which is in the hull, and a
+    generator there moved along a direction that keeps the value, which
+    may be outside.
+    """
+    functionals = [lambda g, k=k: g.weight(k) for k in keys]
+    functionals += [lambda g, r=r, s=s: g.weight(r) - g.weight(s) for r, s in itertools.combinations(keys, 2)]
+    for f in rng.sample(functionals, min(4, len(functionals))):
+        values = [f(g) for g in gens]
+        for end in (max(values), min(values)):
+            at = [g for g, v in zip(gens, values) if v == end]
+            centre = from_pairs((k, w / len(at)) for g in at for k, w in g.entries)
+            yield centre, True
+            g = rng.choice(at)
+            moved = {k: g.weight(k) for k in keys}
+            r, s, t = rng.sample(keys, 3)
+            step = moved[t] / 4
+            moved[t] -= 2 * step
+            for k in (r, s):
+                moved[k] += step
+            if f(from_pairs(moved.items())) == end:
+                yield from_pairs(moved.items()), None
+
+
+def test_member_matches_the_references_at_and_past_every_range():
+    # seeded hulls over 3-8 outcomes, queried by mixtures, points past a
+    # vertex, points at a functional's least or greatest value, and random
+    # points; answers against the oracle (small hulls) or the simplex on all
+    # the generators' columns (larger ones)
+    rng = random.Random(20)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        keys = list("abcdefgh"[: rng.randint(3, 8)])
+        gens = [_small_weights(rng, keys) for _ in range(rng.randint(2, 8))]
+        hull = from_generators(gens)
+        queries = []
+        for _ in range(3):
+            picked = rng.sample(gens, min(len(gens), rng.randint(2, 3)))
+            w = [rng.randint(1, 5) for _ in picked]
+            mixture = from_pairs((k, Fraction(wi, sum(w)) * p) for g, wi in zip(picked, w) for k, p in g.entries)
+            queries.append((mixture, True))
+            vertex = rng.choice(hull.generators)
+            beyond = _beyond_vertex(vertex, rng.choice(gens))
+            if beyond is not None and vertex != beyond:
+                queries.append((beyond, False))
+            queries.append((_small_weights(rng, keys + ["z"]), None))
+        queries += _at_functional_ends(rng, gens, keys)
+        small = len(hull.generators) <= 5 and len(keys) <= 5
+        full = HullForm(gens)
+        for q, known in queries:
+            if small:
+                want = in_hull_oracle(q, gens)
+            else:
+                row = convexgeom._int_coords(q, full.index)
+                want = row is not None and convexgeom._simplex_feasible(full.columns, row)
+            assert known in (None, want), (q, gens)
+            assert member(q, hull) == want, (q, gens)
+            assert in_hull(q, gens) == want, (q, gens)
+            seen[want] += 1
+    assert min(seen.values()) > 200, seen
 
 
 def test_member_builds_the_ranges_once_per_form(monkeypatch):

@@ -200,7 +200,7 @@ def test_simplex_feasible_on_full_support_right_hand_sides():
 
 def test_law_suite_lp_counts_are_pinned():
     _, counts = _counted(check_all, GenConfig(trials=10, seed=42))
-    assert counts == (692, 2389)
+    assert counts == (567, 2078)
 
 
 def _random_dist(rng, d):
@@ -225,4 +225,39 @@ def test_member_lp_counts_on_a_seeded_hull_are_pinned():
             ))
     answers, counts = _counted(lambda: [member(x, hull) for x in queries])
     assert all(answers[::2]) and sum(answers) == 21
-    assert counts == (34, 324)
+    assert counts == (32, 315)
+
+
+def _beyond(rng, gens):
+    """A point past a vertex g of `gens`, away from a mixture c of others: g + t (g - c), t > 0."""
+    g = rng.choice(gens)
+    c = _mixture(rng, rng.sample([h for h in gens if h is not g], min(len(gens) - 1, rng.randint(1, 3))))
+    gw, cw = dict(g.entries), dict(c.entries)
+    t = min([Fraction(1)] + [gw[k] / (cw[k] - gw[k]) for k in gw if cw[k] > gw[k]]) / 2
+    return from_pairs((k, gw[k] + t * (gw[k] - cw[k])) for k in gw)
+
+
+def _mixture(rng, picked):
+    w = [rng.randint(1, 6) for _ in picked]
+    return from_pairs((k, Fraction(wi, sum(w)) * p) for g, wi in zip(picked, w) for k, p in g.entries)
+
+
+def test_member_lp_counts_on_a_hull_grid_are_pinned():
+    # the shape of the benchmark's hull queries: full-support hulls of n
+    # points over d outcomes, half the queries mixtures and half past a vertex
+    rng = random.Random(20)
+    queries = []
+    for n in (8, 16, 32, 64):
+        for d in (4, 8):
+            hull = from_generators([_random_dist(rng, d) for _ in range(n)])
+            gens = hull.generators
+            for q in range(8):
+                inside = q % 2 == 0
+                if inside:
+                    x = _mixture(rng, rng.sample(gens, min(len(gens), rng.randint(2, 4))))
+                else:
+                    x = _beyond(rng, gens)
+                queries.append((x, hull, inside))
+    answers, counts = _counted(lambda: [member(x, hull) for x, hull, _ in queries])
+    assert answers == [inside for _, _, inside in queries]
+    assert counts == (33, 224)
