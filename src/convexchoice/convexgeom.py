@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, sub
+from operator import sub
 from typing import Callable, Dict, FrozenSet, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
@@ -473,8 +473,8 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     Deduplicates, then removes every generator lying in the hull of the
     others.  Extreme points are never removable, so one pass over the
     deduplicated list suffices and the result is removal-order independent.
-    Duplicates are dropped after sorting by key, as neighbours with equal
-    keys, so no generator is hashed.
+    Duplicates are dropped after sorting, as equal neighbours, so no
+    generator is hashed.
 
     The pass is output-sensitive: a point that is one of at most two to
     reach the maximum (or the minimum) of some coordinate, or of the
@@ -490,17 +490,14 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     if not generators:
         raise ValueError("empty generator list")
     unique = []
-    for g in sorted(generators, key=_KEY):
-        if not unique or g.key != unique[-1].key:
+    for g in sorted(generators):
+        if not unique or g != unique[-1]:
             unique.append(g)
     if len(unique) > 2 and not all(len(g.nums) == 1 for g in unique):
         unique = _extreme_points(unique)
     if stats.enabled:
         stats.record_canonicalize(len(generators), len(unique))
     return unique
-
-
-_KEY = attrgetter("key")
 
 
 def _extreme_points(unique: List[Dist]) -> List[Dist]:

@@ -3,31 +3,29 @@
 Outcomes are booleans, integers, symbols (plain strings), or nested `Dist`
 and `NECSet` values.  One total order covers all of them, given by one sort
 key per outcome, `outcome_key`: `(0, not x)` for a bool, so `true` sorts
-before `false`; `(1, x)` for an int; `(2, x)` for a symbol; and the cached
-`key` of a `Dist`, `(3, ((key of k, Weight(n, den)), ...))` over its
-entries, or of a `NECSet`, `(4, (key of g, ...))` over its generators.  Keys
-compare as tuples: entry by entry, with a strict prefix smaller.  The
-leading number keeps `True` and `1` apart, though Python has `True == 1`.
+before `false`; `(1, x)` for an int; `(2, x)` for a symbol; and `(3, d)` for
+a `Dist` or `(4, x)` for a `NECSet`, which compare by their own methods.
+The leading number keeps `True` and `1` apart, though Python has `True == 1`.
 
 A `Dist` holds its outcomes, keys strictly increasing, and their weights as
 positive integer numerators `nums` over one denominator `den`, with
-`sum(nums) == den` and `gcd(den, *nums) == 1`: the form is unique, so
-equality, hashing and order, all read from the key, are structural.  A
-`Weight` in the key is the rational n/den, compared by cross-multiplication,
-so keys order exactly as they would with `Fraction` weights.  Mixing,
-merging and pushforward work on the numerators, with one gcd per result,
-and build their results with the one constructor, `Dist(outcomes, nums,
-den)`, which reduces by the gcd and checks nothing else.  `Fraction`s are
-only at the edges: `from_pairs` takes them, checked, and `entries`,
-`weight()` and rendering give them back.
-Keys, hashes and `entries` are computed once per value by `cached_attr`.
+`sum(nums) == den` and `gcd(den, *nums) == 1`.  The form is unique, so
+equality and hashing read it as it is: the outcome keys and the numerators.
+Order goes entry by entry, the outcome key first and then the weight n/den
+by cross-multiplication: exactly the order of the `(key, Fraction)`
+entries.  A `NECSet` compares its generator tuple entry by entry, with a
+strict prefix smaller.  Mixing, merging and pushforward work on the
+numerators, with one gcd per result, and build their results with the one
+constructor, `Dist(outcomes, nums, den)`, which reduces by the gcd and
+checks nothing else.  `Fraction`s are only at the edges: `from_pairs` takes
+them, checked, and `entries`, `weight()` and rendering give them back.
+Outcome keys, hashes and `entries` are computed once per value by `cached_attr`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from . import stats
@@ -77,69 +75,34 @@ def outcome_key(x: Outcome) -> tuple:
 
 
 class Keyed:
-    """Equality, hashing and `<` of a nested value, all read from its `key`.
+    """A nested outcome kind, whose sort key is `(tag, x)`: the value itself.
 
-    A subclass defines `key` and becomes an outcome kind.  The hash is
-    computed once per value.
+    A subclass passes its `tag` and defines `==`, `<` and `__hash__` on its
+    own integer form, so keys of nested values compare through those
+    methods; `>`, `<=` and `>=` follow here from `<`, which is a total order.
     """
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, tag: int, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        _KEY_OF_TYPE[cls] = attrgetter("key")
+        _KEY_OF_TYPE[cls] = lambda x: (tag, x)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Keyed):
-            return NotImplemented
-        return self.key == other.key
+    def __gt__(self, other: "Keyed") -> bool:
+        return other < self
 
-    def __lt__(self, other: "Keyed") -> bool:
-        return self.key < other.key
+    def __le__(self, other: "Keyed") -> bool:
+        return not other < self
 
-    @cached_attr
-    def _hash(self) -> int:
-        return hash(self.key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __ge__(self, other: "Keyed") -> bool:
+        return not self < other
 
 
-class Weight:
-    """The rational n/d (d > 0) in a `Dist` key, compared with another `Weight`.
-
-    Tuple order calls `==` and then one more comparison on the first elements
-    that differ, so all six are defined, each by cross-multiplication.  Equal
-    values over different denominators hash alike.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int) -> None:
-        self.n, self.d = n, d
-
-    __eq__ = lambda a, b: a.n * b.d == b.n * a.d  # noqa: E731
-    __ne__ = lambda a, b: a.n * b.d != b.n * a.d  # noqa: E731
-    __lt__ = lambda a, b: a.n * b.d < b.n * a.d  # noqa: E731
-    __le__ = lambda a, b: a.n * b.d <= b.n * a.d  # noqa: E731
-    __gt__ = lambda a, b: a.n * b.d > b.n * a.d  # noqa: E731
-    __ge__ = lambda a, b: a.n * b.d >= b.n * a.d  # noqa: E731
-
-    def __hash__(self) -> int:
-        g = math.gcd(self.n, self.d)
-        return hash((self.n // g, self.d // g))
-
-
-_ONE = Weight(1, 1)  # the weight of every point mass, in every key
-
-
-class Dist(Keyed):
+class Dist(Keyed, tag=3):
     """A canonical finitely-supported distribution: `outcomes` with weights `nums` / `den`.
 
     `Dist(outcomes, nums, den)` reduces the weights by their gcd and checks
     nothing else; `from_pairs` is the checked entry for outside weights.
-    The key of a one-entry distribution is not read, so `barycenter` can
-    take point masses on values that are not outcomes.
+    The outcome keys of a one-entry distribution are not read, so
+    `barycenter` can take point masses on values that are not outcomes.
     """
 
     __slots__ = ("outcomes", "nums", "den")
@@ -154,11 +117,32 @@ class Dist(Keyed):
         """The `outcome_key` of each outcome; those `_normalized` builds come with them."""
         return tuple(map(outcome_key, self.outcomes))
 
+    def __eq__(self, other: object) -> bool:
+        # `den` is `sum(nums)`, so it adds nothing
+        return self is other or (
+            type(other) is Dist and self.nums == other.nums and self.okeys == other.okeys
+        )
+
+    def __lt__(self, other: "Dist") -> bool:
+        """At the first entry that differs: the outcome key, then the weight n / den.
+
+        Weights compare by cross-multiplication.  No distribution's entries
+        are a strict prefix of another's, since the weights of each sum to 1.
+        """
+        d1, d2 = self.den, other.den
+        for k1, n1, k2, n2 in zip(self.okeys, self.nums, other.okeys, other.nums):
+            if k1 is not k2 and k1 != k2:  # mixtures share their inputs' key tuples
+                return k1 < k2
+            if n1 * d2 != n2 * d1:
+                return n1 * d2 < n2 * d1
+        return False
+
     @cached_attr
-    def key(self) -> tuple:
-        den = self.den
-        weights = [Weight(n, den) for n in self.nums] if den > 1 else [_ONE]  # a point mass
-        return (3, tuple(zip(self.okeys, weights)))
+    def _hash(self) -> int:
+        return hash((self.okeys, self.nums))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_attr
     def entries(self) -> Tuple[Entry, ...]:
@@ -264,25 +248,6 @@ def bind_dist(d: Dist, k: Callable[[Outcome], Dist]) -> Dist:
 def compare_dist(d1: Outcome, d2: Outcome) -> int:
     """-1, 0 or 1 as `d1` sorts before, with or after `d2`; any two outcomes compare."""
     return (outcome_key(d1) > outcome_key(d2)) - (outcome_key(d1) < outcome_key(d2))
-
-
-def validate_dist(d: Dist) -> None:
-    """Re-check every canonical-form invariant; raises ValueError on violation.
-
-    First on the `Fraction` view `entries`: positive weights, outcome keys
-    strictly increasing (a key that is not an outcome raises TypeError), and
-    an exact sum of 1.  Then the integer form must match it: `den` is the
-    least common denominator of the weights, each numerator its weight times `den`.
-    """
-    entries = d.entries
-    keys = [outcome_key(k) for k, _ in entries]
-    if not entries or any(w <= 0 for _, w in entries) or any(a >= b for a, b in zip(keys, keys[1:])):
-        raise ValueError(f"not positive weights on strictly increasing keys: {entries}")
-    if sum(w for _, w in entries) != 1:
-        raise ValueError(f"weights do not sum to 1: {entries}")
-    lcd = math.lcm(*(w.denominator for _, w in entries))
-    if (d.den, list(d.nums)) != (lcd, [w * lcd for _, w in entries]) or len(d.outcomes) != len(d.nums):
-        raise ValueError(f"integer form {d.nums} / {d.den} does not match {entries}")
 
 
 def render_outcome(x: Outcome) -> str:

@@ -24,8 +24,12 @@ from .prob import Prob
 
 
 @dataclass(frozen=True, eq=False)
-class NECSet(Keyed):
-    """The convex hull of a non-empty finite set of distributions."""
+class NECSet(Keyed, tag=4):
+    """The convex hull of a non-empty finite set of distributions.
+
+    Equality, hashing and order are those of the `generators` tuple: entry
+    by entry, with a strict prefix smaller.
+    """
 
     generators: Tuple[Dist, ...]
 
@@ -37,12 +41,21 @@ class NECSet(Keyed):
         if not self.generators:
             raise ValueError("convex set must be non-empty")
         for a, b in zip(self.generators, self.generators[1:]):
-            if a.key >= b.key:
+            if not a < b:
                 raise ValueError("generators not strictly sorted")
 
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is NECSet and self.generators == other.generators)
+
+    def __lt__(self, other: "NECSet") -> bool:
+        return self.generators < other.generators
+
     @cached_attr
-    def key(self) -> tuple:
-        return (4, tuple(g.key for g in self.generators))
+    def _hash(self) -> int:
+        return hash(self.generators)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_attr
     def hull_form(self) -> HullForm:
@@ -168,15 +181,3 @@ def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
 
 
 NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(_mix_pair)
-
-
-def validate_necset(x: NECSet) -> None:
-    """Re-check canonical-form invariants, including irredundancy.
-
-    Irredundancy is checked here only: the constructor would pay an LP per
-    generator for it, and `from_generators`, `conv_necset` and
-    `singleton_necset` build sets that have it by construction.
-    """
-    x._check()
-    if list(x.generators) != canonicalize(list(x.generators)):
-        raise ValueError("generators not in extreme-point normal form")

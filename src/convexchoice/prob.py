@@ -21,7 +21,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Prob:
     """A probability: an exact rational in [0, 1], given as a Fraction or an int."""
 

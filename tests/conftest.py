@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies for small exact instances."""
+"""Shared hypothesis strategies for small exact instances, and the canonical-form checks."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from convexchoice.dist import from_pairs
+from convexchoice.convexgeom import canonicalize
+from convexchoice.dist import from_pairs, outcome_key
 from convexchoice.necset import from_generators
 from convexchoice.prob import Prob
 
@@ -55,3 +57,34 @@ outcomes = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def validate_dist(d):
+    """Re-check every canonical-form invariant; raises ValueError on violation.
+
+    First on the `Fraction` view `entries`: positive weights, outcome keys
+    strictly increasing (a key that is not an outcome raises TypeError), and
+    an exact sum of 1.  Then the integer form must match it: `den` is the
+    least common denominator of the weights, each numerator its weight times `den`.
+    """
+    entries = d.entries
+    keys = [outcome_key(k) for k, _ in entries]
+    if not entries or any(w <= 0 for _, w in entries) or any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError(f"not positive weights on strictly increasing keys: {entries}")
+    if sum(w for _, w in entries) != 1:
+        raise ValueError(f"weights do not sum to 1: {entries}")
+    lcd = math.lcm(*(w.denominator for _, w in entries))
+    if (d.den, list(d.nums)) != (lcd, [w * lcd for _, w in entries]) or len(d.outcomes) != len(d.nums):
+        raise ValueError(f"integer form {d.nums} / {d.den} does not match {entries}")
+
+
+def validate_necset(x):
+    """Re-check canonical-form invariants, including irredundancy.
+
+    Irredundancy is checked here only: the constructor would pay an LP per
+    generator for it, and `from_generators`, `conv_necset` and
+    `singleton_necset` build sets that have it by construction.
+    """
+    x._check()
+    if list(x.generators) != canonicalize(list(x.generators)):
+        raise ValueError("generators not in extreme-point normal form")

@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import bool_dists, dist_kleislis, dists, functions, outcomes, probs
+from conftest import bool_dists, dist_kleislis, dists, functions, outcomes, probs, validate_dist
 from convexchoice.convexgeom import HullForm
 from convexchoice.dist import (
     Dist,
-    Keyed,
     bind_dist,
     cached_attr,
     compare_dist,
@@ -17,7 +16,6 @@ from convexchoice.dist import (
     outcome_key,
     point,
     render_dist,
-    validate_dist,
 )
 from convexchoice.necset import NECSet, from_generators
 from convexchoice.prob import prob_make
@@ -74,10 +72,13 @@ def test_cached_attr_computes_once_per_instance():
     assert isinstance(Box.doubled, cached_attr)
     # on the frozen value classes the value is stored on first read
     d = point("a")
-    assert "key" not in vars(d)
-    key = d.key
-    assert vars(d)["key"] is key and d.key is key
-    cached = [Dist.key, Keyed._hash, NECSet.key, NECSet.hull_form, HullForm.columns,
+    assert "okeys" not in vars(d)
+    okeys = d.okeys
+    assert vars(d)["okeys"] is okeys and d.okeys is okeys
+    x = from_generators([d, point("b")])
+    assert "_hash" not in vars(x)
+    assert hash(x) == vars(x)["_hash"] == hash(x.generators)
+    cached = [Dist.okeys, Dist.entries, Dist._hash, NECSet._hash, NECSet.hull_form, HullForm.columns,
               HullForm.column_set, HullForm.ranges]
     assert all(isinstance(c, cached_attr) for c in cached)
 

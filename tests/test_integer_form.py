@@ -1,21 +1,26 @@
-"""The integer form of a `Dist`: key order, `Weight`, the `Fraction` edges, `validate_dist`.
+"""The integer form of a `Dist`: its order, the `Fraction` edges, `validate_dist`.
 
-The reference key below is the key every `Dist` had when it held `Fraction`
-weights, `(3, ((outcome key, w), ...))` over its entries, rebuilt here from
-the `entries` view, nested outcomes included.  The new key must compare and
-hash as it does.
+A `Dist` and a `NECSet` compare and hash by their own integer form, and so do
+their outcome keys `(tag, x)`.  The reference key below is the key every
+`Dist` had when it held `Fraction` weights, `(3, ((outcome key, w), ...))`
+over its entries, rebuilt here from the `entries` view, nested outcomes
+included.  Values and their keys must compare as it does.
 """
 
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from conftest import validate_dist
 from convexchoice import necset
+from convexchoice.cli import cli_main
 from convexchoice.convexgeom import canonicalize
-from convexchoice.dist import Dist, Weight, conv_dist, from_pairs, outcome_key, point, validate_dist
+from convexchoice.dist import Dist, conv_dist, from_pairs, outcome_key, point
 from convexchoice.gcm import bind_gcm, join_gcm
 from convexchoice.necset import NECSet, alt_necset, from_generators, lub_necset, singleton_necset
 from convexchoice.prob import Prob
@@ -29,6 +34,23 @@ def _old_key(x):
     if isinstance(x, NECSet):
         return (4, tuple(_old_key(g) for g in x.generators))
     return outcome_key(x)
+
+
+def _assert_compares_as_old_key(x, y):
+    """`==`, `!=`, `<`, `<=`, `>`, `>=` and `hash` as on the `Fraction` keys.
+
+    On the outcome keys of any two values, and on the values themselves when
+    they are of one nested kind.
+    """
+    ox, oy = _old_key(x), _old_key(y)
+    want = (ox == oy, ox != oy, ox < oy, ox <= oy, ox > oy, ox >= oy)
+    pairs = [(outcome_key(x), outcome_key(y))]
+    if type(x) is type(y) and isinstance(x, (Dist, NECSet)):
+        pairs.append((x, y))
+    for a, b in pairs:
+        assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == want, (x, y)
+        if ox == oy:
+            assert hash(a) == hash(b), (x, y)
 
 
 def _random_dist(rng, pool, prefix=()):
@@ -74,56 +96,40 @@ def _family(seed, n=60):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_key_order_matches_the_fraction_key(seed):
     pool, dists = _family(seed)
-    values = dists + [x for x in pool if isinstance(x, (Dist, NECSet))]
-    values += [from_generators(dists[i:i + 3]) for i in range(0, 30, 3)]
+    values = dists + pool + [from_generators(dists[i:i + 3]) for i in range(0, 30, 3)]
     dens = set()
     for x, y in combinations(values, 2):
-        new, old = (x.key, y.key), (_old_key(x), _old_key(y))
-        assert (new[0] < new[1]) == (old[0] < old[1]), (x, y)
-        assert (new[0] <= new[1]) == (old[0] <= old[1]), (x, y)
-        assert (new[0] > new[1]) == (old[0] > old[1]), (x, y)
-        assert (new[0] >= new[1]) == (old[0] >= old[1]), (x, y)
-        assert (new[0] == new[1]) == (old[0] == old[1]), (x, y)
-        if new[0] == new[1]:
-            assert hash(new[0]) == hash(new[1])
-        if isinstance(x, Dist) and isinstance(y, Dist) and old[0][1][0] == old[1][1][0]:
+        _assert_compares_as_old_key(x, y)
+        if isinstance(x, Dist) and isinstance(y, Dist) and _old_key(x)[1][0] == _old_key(y)[1][0]:
             # the same first entry; over different denominators for most pairs
-            assert x.key[1][0] == y.key[1][0] and hash(x.key[1][0]) == hash(y.key[1][0])
             dens.add(x.den != y.den)
     assert dens == {True, False}
+    # a value equal to one in the pool, but built anew, nested values included
+    for x in pool:
+        if isinstance(x, Dist):
+            twin = from_pairs(x.entries)
+        elif isinstance(x, NECSet):
+            twin = NECSet(tuple(from_pairs(g.entries) for g in x.generators))
+        else:
+            continue
+        assert twin is not x
+        _assert_compares_as_old_key(twin, x)
+        assert twin == x and hash(twin) == hash(x) and hash(outcome_key(twin)) == hash(outcome_key(x))
     rng = random.Random(seed)
     for _ in range(20):
         gens = rng.sample(dists, 8)
-        assert sorted(gens, key=lambda g: g.key) == sorted(gens, key=_old_key)
-    assert point(True).key != point(1).key and point(True).key < point(1).key
+        assert sorted(gens) == sorted(gens, key=_old_key) == sorted(gens, key=outcome_key)
+        assert canonicalize(gens) == sorted(canonicalize(gens), key=_old_key)
+    assert point(True) != point(1) and point(True) < point(1)
 
 
-def test_point_masses_share_one_weight():
+def test_point_masses_compare_as_fraction_keys():
     masses = [point(x) for x in ATOMS] + [Dist(("a",), (3,), 3), from_pairs([("b", Fraction(1))])]
     masses.append(point(from_generators([point(1), masses[-1]])))
-    assert len({id(w) for d in masses for _, w in d.key[1]}) == 1
     values = masses + [from_pairs([("a", Fraction(1, 2)), ("b", Fraction(1, 2))])]
     for x, y in combinations(values, 2):
-        new, old = (x.key, y.key), (_old_key(x), _old_key(y))
-        assert (new[0] < new[1], new[0] > new[1], new[0] == new[1]) == (
-            old[0] < old[1], old[0] > old[1], old[0] == old[1]
-        ), (x, y)
+        _assert_compares_as_old_key(x, y)
     assert point("a") == masses[-3] and hash(point("a")) == hash(masses[-3])
-
-
-def test_weight_matches_fraction_on_random_pairs():
-    assert {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"} <= set(vars(Weight))
-    rng = random.Random(4)
-    for _ in range(2000):
-        n1, n2 = rng.randint(1, 12), rng.randint(1, 12)
-        d1, d2 = rng.randint(n1, 24), rng.randint(n2, 24)
-        a, b = Weight(n1, d1), Weight(n2, d2)
-        fa, fb = Fraction(n1, d1), Fraction(n2, d2)
-        assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
-            fa == fb, fa != fb, fa < fb, fa <= fb, fa > fb, fa >= fb
-        )
-        if fa == fb:
-            assert hash(a) == hash(b)
 
 
 def _fractions_made(monkeypatch):
@@ -188,3 +194,33 @@ def test_validate_dist_rechecks_from_the_fraction_view():
     for d in bad:
         with pytest.raises(ValueError):
             validate_dist(d)
+
+
+# The renders at n = 10, pinned when sets still compared by `Fraction`-weight keys.
+CHAIN_RENDER_SHA256 = {
+    "disjoint": "f34c8db0dbbc88c5d8d98321047143b76049cf48bed2495fc1965d3009d04129",
+    "overlapping": "c432fd7afd26346a6a22110cf7462fbeaf7d5409e0f15fd069ec3e2aae306ca0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_RENDER_SHA256))
+def test_choice_chain_sorts_its_vertices_as_fraction_keys(kind, tmp_path, capsys):
+    """`arbitrary 0 [a, b] <|1/2|> ...` over n pairs: 2**n vertices, in `_old_key` order.
+
+    Disjoint pairs are (2i, 2i + 1), overlapping ones (i, i + 1); either way
+    the n segments are independent, so every one of the 2**n picks is a vertex.
+    """
+    n = 10
+    pairs = [(2 * i, 2 * i + 1) if kind == "disjoint" else (i, i + 1) for i in range(n)]
+    path = tmp_path / "chain.choice"
+    path.write_text(" <|1/2|> ".join(f"arbitrary 0 [{a}, {b}]" for a, b in pairs) + "\n")
+    assert cli_main(["eval", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_RENDER_SHA256[kind]
+    lines = out.splitlines()
+    assert len(lines) == 2**n
+    keys = [
+        (3, tuple(((1, int(k)), Fraction(w)) for k, w in re.findall(r"(\d+): (\d+(?:/\d+)?)", line)))
+        for line in lines
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -1,6 +1,6 @@
 import pytest
 
-from convexchoice.dist import validate_dist
+from conftest import validate_dist
 from convexchoice.gcm import alt_gcm, bind_gcm, ret_gcm
 from convexchoice.laws import (
     GenConfig,

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings
 
-from conftest import dists, necsets, probs, small_necsets
+from conftest import dists, necsets, probs, small_necsets, validate_necset
 from convexchoice import necset
 from convexchoice.convexgeom import HullForm, convn
 from convexchoice.dist import conv_dist, from_pairs, point
@@ -20,7 +20,6 @@ from convexchoice.necset import (
     lub_necset,
     member,
     singleton_necset,
-    validate_necset,
 )
 from convexchoice.prob import complement, prob_make
 
@@ -53,6 +52,11 @@ def test_raw_constructor_enforces_sorting():
         NECSet((hi, lo))
     with pytest.raises(ValueError):
         NECSet(())
+    # a repeated generator, also as an equal value built anew
+    with pytest.raises(ValueError):
+        NECSet((lo, lo))
+    with pytest.raises(ValueError):
+        NECSet((MID, d_of((True, 1, 2), (False, 1, 2))))
 
 
 def test_member_examples():

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from convexchoice.dist import from_pairs, mix_dists, point, validate_dist
+from conftest import validate_dist
+from convexchoice.dist import from_pairs, mix_dists, point
 from convexchoice.gcm import alt_gcm, bind_gcm, choice_gcm, ret_gcm
 from convexchoice.necset import from_generators, singleton_necset
 from convexchoice.prob import prob_make
