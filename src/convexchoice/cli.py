@@ -8,7 +8,6 @@ import sys
 from typing import List, NoReturn, Optional
 
 from . import __version__, stats
-from .laws import GenConfig, check_all, check_law, law_names, render_report, run_trial
 from .programs import SourceError, monty, parse, eval_expr, render
 
 
@@ -41,6 +40,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_laws(args: argparse.Namespace) -> int:
+    # imported here, so that the other commands never load the law suite
+    from .laws import GenConfig, check_all, check_law, law_names, render_report, run_trial
+
     try:
         config = GenConfig(trials=args.trials, seed=args.seed)
     except ValueError as exc:

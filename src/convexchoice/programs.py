@@ -34,10 +34,9 @@ error, then the first unbound variable in source order.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -83,68 +82,101 @@ class SourceError(Exception):
 _NOPOS: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Outcome
+class _Node:
+    """Base of the AST nodes: `==`, `hash` and `repr` read only `_fields`, so no position
+    or `Bind.live` tells two nodes apart; nodes of two classes are never equal."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+class Lit(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Outcome) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: "ValueExpr"
-    right: "ValueExpr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+class Var(_Node):
+    __slots__ = ("name", "pos")
+    _fields = ("name",)
+
+    def __init__(self, name: str, pos: Pos = _NOPOS) -> None:
+        self.name, self.pos = name, pos
+
+
+class Eq(_Node):
+    __slots__ = ("left", "right", "pos")
+    _fields = ("left", "right")
+
+    def __init__(self, left: "ValueExpr", right: "ValueExpr", pos: Pos = _NOPOS) -> None:
+        self.left, self.right, self.pos = left, right, pos
 
 
 ValueExpr = Union[Lit, Var, Eq]
 
 
-@dataclass(frozen=True)
-class Ret:
-    value: ValueExpr
+class Ret(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: ValueExpr) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Choice:
-    prob: Prob
-    left: "Expr"
-    right: "Expr"
+class Choice(_Node):
+    __slots__ = _fields = ("prob", "left", "right")
+
+    def __init__(self, prob: Prob, left: "Expr", right: "Expr") -> None:
+        self.prob, self.left, self.right = prob, left, right
 
 
-@dataclass(frozen=True)
-class Alt:
-    left: "Expr"
-    right: "Expr"
+class Alt(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr") -> None:
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Bind:
+class Bind(_Node):
     """`do var <- bound; body`.  `live` holds the free variables of `body`,
     the only ones the rest of the sequence reads; the parser sets it, and a
     hand-built node keeps the default None, which the evaluator reads as every
     variable in scope."""
 
-    var: str
-    bound: "Expr"
-    body: "Expr"
-    live: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("var", "bound", "body", "live")
+    _fields = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: "Expr", body: "Expr", live: Optional[Tuple[str, ...]] = None) -> None:
+        self.var, self.bound, self.body, self.live = var, bound, body, live
 
 
-@dataclass(frozen=True)
-class Uniform:
-    default: ValueExpr
-    items: Tuple[ValueExpr, ...]
+class Uniform(_Node):
+    __slots__ = _fields = ("default", "items")
+
+    def __init__(self, default: ValueExpr, items: Tuple[ValueExpr, ...]) -> None:
+        self.default, self.items = default, items
 
 
-@dataclass(frozen=True)
-class Arbitrary:
-    default: ValueExpr
-    items: Tuple[ValueExpr, ...]
+class Arbitrary(_Node):
+    __slots__ = _fields = ("default", "items")
+
+    def __init__(self, default: ValueExpr, items: Tuple[ValueExpr, ...]) -> None:
+        self.default, self.items = default, items
 
 
 Expr = Union[Ret, Choice, Alt, Bind, Uniform, Arbitrary]
@@ -670,5 +702,6 @@ def render(v: GcmVal, fmt: str = "text") -> str:
     if fmt == "text":
         return "\n".join(render_dist(d) for d in v.generators)
     if fmt == "structured":
+        import json  # here, so that a text render loads no JSON module
         return json.dumps(_structured_necset(v), separators=(",", ":"), sort_keys=True)
     raise ValueError(f"unknown format {fmt!r}")

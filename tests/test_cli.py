@@ -319,6 +319,34 @@ def test_run_as_module_from_a_checkout():
     assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
 
 
+_ONLY_CHECK_LAWS_LOADS_LAWS = """
+import io, sys
+from convexchoice.cli import cli_main
+
+sys.stdin = io.StringIO("do x <- arbitrary 0 [1, 2]; ret x <|1/2|> ret 3")
+assert cli_main(["eval", "-"]) == 0
+assert cli_main(["monty"]) == 0
+assert cli_main(["version"]) == 0
+loaded = sorted(m for m in sys.modules if m == "json" or m.startswith("convexchoice.laws"))
+assert loaded == [], loaded
+assert cli_main(["check-laws", "--law", "choicemm", "--trials", "2"]) == 0
+assert "convexchoice.laws" in sys.modules
+"""
+
+
+def test_only_check_laws_loads_the_law_suite():
+    # a fresh interpreter, since an earlier test may have imported the laws;
+    # -S keeps site-packages start-up hooks from importing modules of their own
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _ONLY_CHECK_LAWS_LOADS_LAWS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.splitlines()[-1].startswith("PASS choicemm ")
+
+
 _TOKENS = (
     "do", "x", "y", "<-", ";", "ret", "uniform", "arbitrary", "[", "]", ",", "(", ")",
     "==", "[~]", "<|1/2|>", "<|", "|>", "3/2", "true", "false", "0", "1", "-1", "A", "B", "#",

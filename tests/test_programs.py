@@ -55,6 +55,57 @@ def test_parse_coinarb_shape():
     assert inner.body == Ret(Eq(Var("a"), Var("c")))
 
 
+# Parsed programs that use every node class, and their reprs as the frozen
+# dataclass nodes printed them.
+AST_REPRS = [
+    (
+        "do x <- uniform 0 [1, 2] <|1/3|> ret true; do y <- arbitrary A [B, x]; ret (x == y) [~] ret false",
+        "Bind(var='x', bound=Choice(prob=Prob(value=Fraction(1, 3)), left=Uniform(default=Lit(value=0), "
+        "items=(Lit(value=1), Lit(value=2))), right=Ret(value=Lit(value=True))), body=Bind(var='y', "
+        "bound=Arbitrary(default=Lit(value='A'), items=(Lit(value='B'), Var(name='x'))), "
+        "body=Alt(left=Ret(value=Eq(left=Var(name='x'), right=Var(name='y'))), right=Ret(value=Lit(value=False)))))",
+    ),
+    (
+        "do x <- arbitrary -1 []; do u <- uniform x [x, (x == 3), true]; ret u",
+        "Bind(var='x', bound=Arbitrary(default=Lit(value=-1), items=()), body=Bind(var='u', "
+        "bound=Uniform(default=Var(name='x'), items=(Var(name='x'), Eq(left=Var(name='x'), right=Lit(value=3)), "
+        "Lit(value=True))), body=Ret(value=Var(name='u'))))",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, want", AST_REPRS)
+def test_ast_repr(source, want):
+    assert repr(parse(source)) == want
+
+
+def test_ast_equality_ignores_positions_and_live():
+    # parsed nodes carry positions and `Bind.live`; hand-built ones the defaults
+    parsed = parse(AST_REPRS[0][0])
+    x, y = Var("x"), Var("y")
+    built = Bind(
+        "x",
+        Choice(prob_make(1, 3), Uniform(Lit(0), (Lit(1), Lit(2))), Ret(Lit(True))),
+        Bind("y", Arbitrary(Lit("A"), (Lit("B"), x)), Alt(Ret(Eq(x, y)), Ret(Lit(False)))),
+    )
+    assert parsed.live == ("x",) and built.live is None
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert Var("x", (1, 2)) == Var("x", (3, 4)) and hash(Var("x", (1, 2))) == hash(Var("x"))
+    assert Eq(x, y, (1, 2)) == Eq(x, y) and hash(Eq(x, y, (1, 2))) == hash(Eq(x, y))
+    assert len({Bind("x", Ret(x), Ret(x), ("x",)), Bind("x", Ret(x), Ret(x))}) == 1
+    assert Var("x") != Var("y") and Bind("x", Ret(x), Ret(x)) != Bind("y", Ret(x), Ret(x))
+
+
+def test_ast_nodes_of_two_classes_are_unequal():
+    one = Lit(1)
+    assert Uniform(one, (one,)) != Arbitrary(one, (one,))
+    assert Ret(one) != Lit(one) and Lit(1) != (1,)
+    assert Choice(prob_make(1, 2), Ret(one), Ret(one)) != Alt(Ret(one), Ret(one))
+    # `Lit(True) == Lit(1)`, as `True == 1`, but their reprs differ
+    assert Lit(True) == Lit(1) and hash(Lit(True)) == hash(Lit(1))
+    assert (repr(Lit(True)), repr(Lit(1))) == ("Lit(value=True)", "Lit(value=1)")
+
+
 def test_parse_unbound_variable():
     with pytest.raises(SourceError) as exc:
         parse("ret (x == true)")
