@@ -1,9 +1,13 @@
-"""Command-line interface: eval, check-laws, monty, version."""
+"""Command-line interface: eval, check-laws, monty, version.
+
+A line that starts with a command is parsed by that command's own parser alone, built once from
+`_COMMANDS`; any other line (`-h`, a usage error) by the whole parser from `build_parser()`."""
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import List, NoReturn, Optional
 
@@ -87,58 +91,66 @@ STATS_HELP = "print LP calls, simplex pivots and canonicalization counts on one 
 
 
 class _Parser(argparse.ArgumentParser):
-    """Ends a usage error in one `error:` line and exit 1, like every other input error.
-
-    Exit 2 stays for a failed law verdict; subparsers are made of this class too.
-    """
+    """Ends a usage error in one `error:` line and exit 1; exit 2 stays for a failed law verdict."""
 
     def error(self, message: str) -> NoReturn:
         self.exit(1, "error: " + message.replace("\n", " ") + "\n")
 
 
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="program file, or '-' for stdin")
+    p.add_argument("--format", choices=["text", "structured"], default="text")
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
+    p.set_defaults(func=_cmd_eval)
+
+
+def _check_laws_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--law", default=None, help="check a single law by name")
+    p.add_argument("--trial", type=int, default=None, help="with --law, run only trial N and print it")
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
+    p.set_defaults(func=_cmd_check_laws)
+
+
+def _monty_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", choices=["stick", "switch", "both"], default="both")
+    p.set_defaults(func=_cmd_monty)
+
+
+_COMMANDS = {
+    "eval": ("parse, evaluate, and render a program", _eval_args),
+    "check-laws": ("run the randomized law suite", _check_laws_args),
+    "monty": ("play the three-door game", _monty_args),
+    "version": ("print the package version", lambda p: p.set_defaults(func=_cmd_version)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="convexchoice",
-        description="Exact model of combined probabilistic and nondeterministic choice.",
-    )
+    description = "Exact model of combined probabilistic and nondeterministic choice."
+    parser = _Parser(prog="convexchoice", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="parse, evaluate, and render a program")
-    p_eval.add_argument("file", help="program file, or '-' for stdin")
-    p_eval.add_argument("--format", choices=["text", "structured"], default="text")
-    p_eval.add_argument("--stats", action="store_true", help=STATS_HELP)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_laws = sub.add_parser("check-laws", help="run the randomized law suite")
-    p_laws.add_argument("--trials", type=int, default=200)
-    p_laws.add_argument("--seed", type=int, default=42)
-    p_laws.add_argument("--law", default=None, help="check a single law by name")
-    p_laws.add_argument("--trial", type=int, default=None, help="with --law, run only trial N and print it")
-    p_laws.add_argument("--stats", action="store_true", help=STATS_HELP)
-    p_laws.set_defaults(func=_cmd_check_laws)
-
-    p_monty = sub.add_parser("monty", help="play the three-door game")
-    p_monty.add_argument("--strategy", choices=["stick", "switch", "both"], default="both")
-    p_monty.set_defaults(func=_cmd_monty)
-
-    p_version = sub.add_parser("version", help="print the package version")
-    p_version.set_defaults(func=_cmd_version)
-
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `cli_main` uses, built on its first call and kept.
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """`name`'s parser alone, built once as `add_parser` builds its subparser."""
+    parser = _Parser(prog=f"convexchoice {name}")
+    _COMMANDS[name][1](parser)
+    return parser
 
-    Building the parser costs far more than parsing one command line, and
-    parsing leaves no state in it: each call gets a fresh namespace.
-    """
-    return build_parser()
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if not getattr(args, "stats", False):
         return args.func(args)
     stats.start()
@@ -150,7 +162,15 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    # stdout closed early (`| head -1`): exit 1, no message (Python docs, "Note on SIGPIPE")
+    try:
+        try:
+            sys.exit(cli_main())
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

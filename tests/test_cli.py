@@ -76,18 +76,18 @@ def test_eval_weight_past_digit_limit(capsys, monkeypatch):
     assert out.out == f"{{1: 1/{big}, 2: {nines}/{big}, 3: {nines}/1{'0' * 4000}}}\n"
 
 
-def test_cli_main_builds_one_parser(capsys, monkeypatch):
+def test_each_command_builds_its_own_parser_once(capsys, monkeypatch):
     corpus = str(CORPUS / "coinarb.choice")
     text = "{true: 1}\n{false: 1}\n"
-    builds = []
+    wholes = []
     build = cli.build_parser
 
     def counted():
-        builds.append(1)
+        wholes.append(1)
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    cli._shared_parser.cache_clear()
+    cli._command_parser.cache_clear()
     # no option of one call carries over to the next
     assert cli_main(["eval", "--stats", corpus]) == 0
     assert capsys.readouterr().err.startswith("stats: ")
@@ -103,8 +103,54 @@ def test_cli_main_builds_one_parser(capsys, monkeypatch):
     capsys.readouterr()
     assert cli_main(["eval", corpus]) == 0
     assert capsys.readouterr() == (text, "")
-    assert len(builds) == 1
+    assert cli_main(["monty", "--strategy", "stick"]) == 0
+    assert cli_main(["monty"]) == 0
+    assert cli_main(["version"]) == 0
+    capsys.readouterr()
+    # one parser per command used, and a line that starts with a command builds no whole parser
+    assert (cli._command_parser.cache_info().misses, wholes) == (3, [])
+    # a help or usage-error line that starts with no command builds the whole parser, each time
+    for argv, code in (([], 1), (["-h"], 0), (["bogus"], 1)):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == code
+    assert capsys.readouterr().out.startswith("usage: convexchoice ")
+    assert (cli._command_parser.cache_info().misses, len(wholes)) == (3, 3)
     assert build() is not build()
+
+
+# Words that follow a command in the differential parse test; an entry with a
+# space is two arguments.
+_PARSE_WORDS = (
+    "-", "prog.choice", "--st", "--tri", "--form=structured", "--stats=1", "--", "-h",
+    "--seed -1", "-x", "--format xml", "--strategy=sides", "--trials abc", "--trial=1",
+)
+
+
+def _parse_outcome(parse, argv):
+    """The namespace `parse(argv)` returns, less `command`; or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    namespace.pop("command", None)
+    return namespace, out.getvalue(), err.getvalue()
+
+
+def test_command_parser_agrees_with_the_whole_parser():
+    whole = cli.build_parser()
+    tails = [[]] + [[w] for w in _PARSE_WORDS] + [[a, b] for a in _PARSE_WORDS for b in _PARSE_WORDS]
+    kinds = set()
+    for command in cli._COMMANDS:
+        for tail in tails:
+            argv = [command] + " ".join(tail).split()
+            got = _parse_outcome(cli._parse_args, argv)
+            assert got == _parse_outcome(whole.parse_args, argv), argv
+            kinds.add(got[0] == "exit" and got[1])
+    # parsed lines, help screens and usage errors all occur
+    assert kinds == {False, 0, 1}
 
 
 def test_check_laws_single(capsys):
@@ -309,14 +355,66 @@ def test_help_exits_0(capsys):
         assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: convexchoice")
 
 
-def test_run_as_module_from_a_checkout():
+def _module_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def test_run_as_module_from_a_checkout():
     done = subprocess.run(
         [sys.executable, "-m", "convexchoice", "version"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
+
+
+@pytest.mark.parametrize("args, code, out", [
+    (["-h"], 0, "usage: convexchoice "),
+    (["eval", "-h"], 0, "usage: convexchoice eval "),
+    ([], 1, ""),
+    (["bogus"], 1, ""),
+])
+def test_module_entry_point_reads_its_command_line(args, code, out):
+    # `cli_main()` with no argv reads sys.argv[1:]
+    done = subprocess.run(
+        [sys.executable, "-m", "convexchoice", *args],
+        capture_output=True, text=True, env=_module_env(), timeout=60,
+    )
+    assert done.returncode == code and done.stdout.startswith(out)
+    if code == 0:
+        assert done.stderr == ""
+    else:
+        assert done.stdout == "" and done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _choice_chain(n):
+    """n two-way choices on overlapping pairs, mixed at 1/2: 2**n vertices, one line each."""
+    return " <|1/2|> ".join(f"arbitrary 0 [{i}, {i + 1}]" for i in range(n)) + "\n"
+
+
+def test_closed_stdout_exits_1_with_no_message():
+    # 2048 lines, about 160 KB: more than a pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "convexchoice", "eval", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(), bufsize=0,
+    )
+    proc.stdin.write(_choice_chain(11).encode())
+    proc.stdin.close()
+    assert proc.stdout.readline().startswith(b"{0: 1/1024, 1: 1/1024, 2: 1/512, ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    # a short output, to a pipe closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "convexchoice", "monty"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_module_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 _ONLY_CHECK_LAWS_LOADS_LAWS = """
@@ -337,11 +435,9 @@ assert "convexchoice.laws" in sys.modules
 def test_only_check_laws_loads_the_law_suite():
     # a fresh interpreter, since an earlier test may have imported the laws;
     # -S keeps site-packages start-up hooks from importing modules of their own
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-S", "-c", _ONLY_CHECK_LAWS_LOADS_LAWS],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     assert done.stdout.splitlines()[-1].startswith("PASS choicemm ")
