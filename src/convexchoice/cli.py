@@ -96,6 +96,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.exit(1, "error: " + message.replace("\n", " ") + "\n")
 
+    def print_help(self, file=None) -> None:
+        # argparse's own swallows OSError, so help into a closed pipe would exit 0 when unbuffered
+        (file or sys.stdout).write(self.format_help())
+
 
 def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="program file, or '-' for stdin")

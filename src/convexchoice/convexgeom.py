@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Dict, FrozenSet, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
 from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
@@ -51,11 +50,13 @@ from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
 C = TypeVar("C")
 
 
-@dataclass(frozen=True)
-class ConvexInstance(Generic[C]):
+class ConvexInstance:
     """A carrier's mixing operator: `conv(a, x, b, y)` is (a*x + b*y) / (a+b), for integers a, b > 0."""
 
-    conv: Callable[[int, C, int, C], C]
+    __slots__ = ("conv",)
+
+    def __init__(self, conv: Callable[[int, C, int, C], C]) -> None:
+        self.conv = conv
 
 
 def _conv_rat(a: int, x: Fraction, b: int, y: Fraction) -> Fraction:
@@ -66,11 +67,11 @@ def _mix_dist_pair(a: int, x: Dist, b: int, y: Dist) -> Dist:
     return mix_dists([(a, x), (b, y)])
 
 
-RAT_INSTANCE: ConvexInstance[Fraction] = ConvexInstance(_conv_rat)
-DIST_INSTANCE: ConvexInstance[Dist] = ConvexInstance(_mix_dist_pair)
+RAT_INSTANCE = ConvexInstance(_conv_rat)
+DIST_INSTANCE = ConvexInstance(_mix_dist_pair)
 
 
-def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
+def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance) -> C:
     """n-ary convex combination, folded from the last supported index back.
 
     `weights` is a distribution over integer indices into `points`.  Each
@@ -89,7 +90,7 @@ def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance[C]) -> C:
     return acc
 
 
-def barycenter(d: Dist, inst: ConvexInstance[C]) -> C:
+def barycenter(d: Dist, inst: ConvexInstance) -> C:
     """Convex combination of a distribution's own support elements."""
     return convn(Dist(tuple(range(len(d.nums))), d.nums, d.den), d.outcomes, inst)
 
@@ -304,7 +305,8 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
         basis[leave] = enter
         pivots += 1
     if stats.enabled:
-        stats.record_lp(pivots)
+        stats.counts["lp_calls"] += 1
+        stats.counts["pivots"] += pivots
     return not obj[-1]
 
 
@@ -496,7 +498,9 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     if len(unique) > 2 and not all(len(g.nums) == 1 for g in unique):
         unique = _extreme_points(unique)
     if stats.enabled:
-        stats.record_canonicalize(len(generators), len(unique))
+        stats.counts["canonicalize_calls"] += 1
+        stats.counts["gens_in"] += len(generators)
+        stats.counts["gens_out"] += len(unique)
     return unique
 
 

@@ -47,8 +47,7 @@ class cached_attr:
 
     Like `functools.cached_property` but with no lock: Python 3.11's takes an
     RLock on every first read, and this package runs on one thread.  It
-    defines no `__set__`, so the stored value shadows it from then on; that
-    also works on frozen dataclasses, whose `__setattr__` it never calls.
+    defines no `__set__`, so the stored value shadows it from then on.
     """
 
     def __init__(self, func: Callable) -> None:
@@ -191,7 +190,7 @@ def from_pairs(pairs: Iterable[Entry]) -> Dist:
     common denominator.
     """
     if stats.enabled:
-        stats.from_pairs_calls += 1
+        stats.counts["from_pairs_calls"] += 1
     kept = []
     for key, weight in pairs:
         if weight < 0:

@@ -15,7 +15,6 @@ family of sets, as the barycenters of bind and join need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .convexgeom import ConvexInstance, HullForm, canonicalize, minkowski_vertices
@@ -23,7 +22,6 @@ from .dist import Dist, Keyed, cached_attr, mix_dists
 from .prob import Prob
 
 
-@dataclass(frozen=True, eq=False)
 class NECSet(Keyed, tag=4):
     """The convex hull of a non-empty finite set of distributions.
 
@@ -31,9 +29,10 @@ class NECSet(Keyed, tag=4):
     by entry, with a strict prefix smaller.
     """
 
-    generators: Tuple[Dist, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: Tuple[Dist, ...]) -> None:
+        self.generators = generators
         self._check()
 
     def _check(self) -> None:
@@ -62,7 +61,7 @@ class NECSet(Keyed, tag=4):
         """The integer form of the generators, built on the first `member` query.
 
         Lazy, because most sets are only built, combined and compared, and
-        never queried.  It is not a field: equality, hashing and order ignore it.
+        never queried.  Equality, hashing and order ignore it.
         """
         return HullForm(self.generators)
 
@@ -180,4 +179,4 @@ def mix_necsets(family: Sequence[Tuple[int, NECSet]]) -> NECSet:
     return _mix_pair(sum(n for n, _ in shift), point, mass, mixed)
 
 
-NECSET_INSTANCE: ConvexInstance[NECSet] = ConvexInstance(_mix_pair)
+NECSET_INSTANCE = ConvexInstance(_mix_pair)

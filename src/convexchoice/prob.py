@@ -1,14 +1,13 @@
 """Exact rational probabilities and the mixing-weight combinators.
 
 Probabilities are `fractions.Fraction` values clamped to [0, 1], wrapped in
-an immutable `Prob`.  All arithmetic is exact; there is no tolerance
-parameter anywhere in this package.
+a `Prob`.  All arithmetic is exact; there is no tolerance parameter anywhere
+in this package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -21,19 +20,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class Prob:
     """A probability: an exact rational in [0, 1], given as a Fraction or an int."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            if not isinstance(self.value, int) or isinstance(self.value, bool):
-                raise ProbError(f"not an exact rational: {self.value!r}")
-            object.__setattr__(self, "value", Fraction(self.value))
-        if self.value < 0 or self.value > 1:
-            raise ProbError(f"probability out of range: {self.value}")
+    def __init__(self, value: Union[Fraction, int]) -> None:
+        if not isinstance(value, Fraction):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProbError(f"not an exact rational: {value!r}")
+            value = Fraction(value)
+        if value < 0 or value > 1:
+            raise ProbError(f"probability out of range: {value}")
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Prob:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"Prob(value={self.value!r})"
 
     def __str__(self) -> str:
         return render_rational(self.value)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -64,14 +63,13 @@ MAX_PAREN_DEPTH = 100
 QUOTE_LIMIT = 40
 
 
-@dataclass
 class SourceError(Exception):
     """A positioned parse/scope/type error."""
 
-    kind: str  # syntax | unbound-variable | type
-    line: int
-    column: int
-    message: str
+    def __init__(self, kind: str, line: int, column: int, message: str) -> None:
+        super().__init__(kind, line, column, message)
+        self.kind = kind  # syntax | unbound-variable | type
+        self.line, self.column, self.message = line, column, message
 
     def __str__(self) -> str:
         return f"line {self.line}, col {self.column}: {self.kind}: {self.message}"

@@ -417,6 +417,25 @@ def test_closed_stdout_exits_1_with_no_message():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["-h"], ["eval", "-h"]])
+def test_help_into_a_closed_stdout_exits_1_with_no_message(args, unbuffered):
+    # buffered, the help screen meets the closed pipe at the final flush; unbuffered, at its write
+    env = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "convexchoice", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 _ONLY_CHECK_LAWS_LOADS_LAWS = """
 import io, sys
 from convexchoice.cli import cli_main
@@ -425,7 +444,8 @@ sys.stdin = io.StringIO("do x <- arbitrary 0 [1, 2]; ret x <|1/2|> ret 3")
 assert cli_main(["eval", "-"]) == 0
 assert cli_main(["monty"]) == 0
 assert cli_main(["version"]) == 0
-loaded = sorted(m for m in sys.modules if m == "json" or m.startswith("convexchoice.laws"))
+unwanted = ("json", "dataclasses", "inspect")
+loaded = sorted(m for m in sys.modules if m in unwanted or m.startswith("convexchoice.laws"))
 assert loaded == [], loaded
 assert cli_main(["check-laws", "--law", "choicemm", "--trials", "2"]) == 0
 assert "convexchoice.laws" in sys.modules

@@ -36,6 +36,9 @@ def test_convn_trivial_cases():
     g0, g1 = Fraction(2), Fraction(5)
     assert convn(point(0), [g0, g1], RAT_INSTANCE) == g0
     assert convn(idx_dist((0, 1, 2), (1, 1, 2)), [g0, g1], RAT_INSTANCE) == Fraction(7, 2)
+    inst = convexgeom.ConvexInstance(RAT_INSTANCE.conv)
+    assert inst.conv is RAT_INSTANCE.conv
+    assert convn(idx_dist((0, 1, 4), (1, 3, 4)), [g0, g1], inst) == Fraction(17, 4)
 
 
 def test_convn_dist_instance():
@@ -291,7 +294,7 @@ def _lp_calls(fn, *args):
     """`fn(*args)` and the number of LPs it solved."""
     stats.start()
     try:
-        return fn(*args), stats.lp_calls
+        return fn(*args), stats.counts["lp_calls"]
     finally:
         stats.stop()
 

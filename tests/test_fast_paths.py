@@ -86,7 +86,7 @@ def _lp_count(fn, *args):
         result = fn(*args)
     finally:
         stats.stop()
-    return result, stats.lp_calls
+    return result, stats.counts["lp_calls"]
 
 
 def test_conv_necset_hand_built_cases():
@@ -209,7 +209,7 @@ def _lp_work(fn, *args):
         result = fn(*args)
     finally:
         stats.stop()
-    return result, stats.lp_calls, stats.pivots
+    return result, stats.counts["lp_calls"], stats.counts["pivots"]
 
 
 def _tied_set(rng, keys, most):

@@ -76,7 +76,7 @@ def _counted(fn, *args):
     """`fn(*args)` with its (lp_calls, pivots)."""
     stats.start()
     try:
-        return fn(*args), (stats.lp_calls, stats.pivots)
+        return fn(*args), (stats.counts["lp_calls"], stats.counts["pivots"])
     finally:
         stats.stop()
 

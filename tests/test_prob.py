@@ -33,6 +33,9 @@ def test_prob_make_errors():
 
 def test_prob_takes_exact_rationals_only():
     assert Prob(1) == Prob(Fraction(1)) == prob_make(1, 1)
+    assert hash(Prob(1)) == hash(Prob(Fraction(1))) and type(Prob(1).value) is Fraction
+    assert Prob(Fraction(1, 3)) != Fraction(1, 3) and Prob(1) != 1
+    assert repr(Prob(Fraction(1, 3))) == "Prob(value=Fraction(1, 3))"
     for value in (0.1, "1/3", True, None, 1.0):
         with pytest.raises(ProbError):
             Prob(value)

@@ -109,8 +109,9 @@ def test_ast_nodes_of_two_classes_are_unequal():
 def test_parse_unbound_variable():
     with pytest.raises(SourceError) as exc:
         parse("ret (x == true)")
-    assert exc.value.kind == "unbound-variable"
-    assert (exc.value.line, exc.value.column) == (1, 6)
+    assert (exc.value.kind, exc.value.line, exc.value.column) == ("unbound-variable", 1, 6)
+    assert exc.value.message == "unbound variable 'x'"
+    assert str(exc.value) == "line 1, col 6: unbound-variable: unbound variable 'x'"
     # in a chain the first unbound variable from the left is reported
     source = "ret 1 <|1/2|> ret x [~] ret y <|1/2|> ret z"
     with pytest.raises(SourceError) as exc:
