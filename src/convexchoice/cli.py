@@ -39,7 +39,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except RecursionError:
         print("error: program nested too deeply to evaluate", file=sys.stderr)
         return 1
-    print(render(value, args.format))
+    try:
+        print(render(value, args.format))
+    except UnicodeEncodeError as exc:  # a symbol stdout's encoding has no bytes for
+        print(f"error: stdout cannot encode the value: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -6,8 +6,8 @@ set of distributions-over-sets, replaces each by its barycenter in the
 set-level convex structure, and closes under hull-of-union; `bind` is
 join after map.  Both compute a barycenter as one n-ary Minkowski mixture
 (`mix_necsets`) of the weighted sets, with no distribution keyed by sets
-in between.  Probabilistic and nondeterministic choice are the set-level
-mixture and hull-of-union operators.
+in between.  Probabilistic and nondeterministic choice, `choice_gcm` and
+`alt_gcm`, are the set-level mixture and hull-of-union operators themselves.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from .necset import (
     mix_necsets,
     singleton_necset,
 )
-from .prob import Prob
 
 GcmVal = NECSet
+
+choice_gcm = conv_necset
+alt_gcm = alt_necset
 
 
 def ret_gcm(a: Outcome) -> GcmVal:
@@ -80,12 +82,3 @@ def bind_gcm_direct(m: GcmVal, k: Callable[[Outcome], GcmVal]) -> GcmVal:
             candidates.append(from_pairs(pairs))
     return from_generators(candidates)
 
-
-def choice_gcm(p: Prob, x: GcmVal, y: GcmVal) -> GcmVal:
-    """x with probability p, else y."""
-    return conv_necset(p, x, y)
-
-
-def alt_gcm(x: GcmVal, y: GcmVal) -> GcmVal:
-    """Nondeterministic choice between x and y."""
-    return alt_necset(x, y)

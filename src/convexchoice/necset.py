@@ -81,10 +81,7 @@ def singleton_necset(d: Dist) -> NECSet:
 
 def from_generators(generators: Iterable[Dist]) -> NECSet:
     """The hull of a finite generator list, in extreme-point normal form."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("empty generator list")
-    return NECSet(tuple(canonicalize(gens)))
+    return NECSet(tuple(canonicalize(list(generators))))
 
 
 def member(d: Dist, x: NECSet) -> bool:

@@ -475,12 +475,10 @@ def _render_raw(e: Expr) -> str:
             if _level(e) < need:
                 break
         return _render_at(e, need) + "".join(reversed(tails))
-    if isinstance(e, Uniform):
+    if isinstance(e, (Uniform, Arbitrary)):
         items = ", ".join(render_value_expr(v) for v in e.items)
-        return f"uniform {render_value_expr(e.default)} [{items}]"
-    if isinstance(e, Arbitrary):
-        items = ", ".join(render_value_expr(v) for v in e.items)
-        return f"arbitrary {render_value_expr(e.default)} [{items}]"
+        keyword = "uniform" if isinstance(e, Uniform) else "arbitrary"
+        return f"{keyword} {render_value_expr(e.default)} [{items}]"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -532,10 +530,9 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
         return value
     if isinstance(e, Bind):
         return _eval_do(e, env, {})
-    if isinstance(e, Uniform):
-        return uniform(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
-    if isinstance(e, Arbitrary):
-        return arbitrary(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
+    if isinstance(e, (Uniform, Arbitrary)):
+        make = uniform if isinstance(e, Uniform) else arbitrary
+        return make(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
     raise TypeError(f"not an expression: {e!r}")
 
 

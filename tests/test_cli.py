@@ -436,6 +436,31 @@ def test_help_into_a_closed_stdout_exits_1_with_no_message(args, unbuffered):
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize("encoding", [
+    {"PYTHONIOENCODING": "ascii"},
+    {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+])
+def test_value_stdout_cannot_encode_is_one_error_line(encoding, tmp_path):
+    path = tmp_path / "accent.choice"
+    path.write_text("ret É [~] ret A\n", encoding="utf-8")
+    env = {k: v for k, v in _module_env().items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(encoding, PYTHONUTF8="0")
+    text = subprocess.run(
+        [sys.executable, "-m", "convexchoice", "eval", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (text.returncode, text.stdout) == (1, b"")
+    assert text.stderr.startswith(b"error: stdout cannot encode the value: ") and text.stderr.count(b"\n") == 1
+    # JSON escapes every non-ASCII character, so the structured value is written
+    structured = subprocess.run(
+        [sys.executable, "-m", "convexchoice", "eval", "--format", "structured", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (structured.returncode, structured.stdout, structured.stderr) == (
+        0, b'[[["A","1"]],[["\\u00c9","1"]]]\n', b""
+    )
+
+
 _ONLY_CHECK_LAWS_LOADS_LAWS = """
 import io, sys
 from convexchoice.cli import cli_main

@@ -51,6 +51,8 @@ def test_invalid_dists_rejected():
         with pytest.raises(ValueError):
             from_pairs([("a", weight)])
     assert from_pairs([("a", Fraction(2, 2))]) == point("a")
+    with pytest.raises(TypeError):
+        outcome_key(1.5)  # a float is no outcome
 
 
 def test_cached_attr_computes_once_per_instance():

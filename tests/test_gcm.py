@@ -15,7 +15,7 @@ from convexchoice.gcm import (
     ret_gcm,
 )
 from convexchoice.laws import GenConfig, _gen_nested, carrier_of, gen_gcm, gen_kleisli
-from convexchoice.necset import from_generators, singleton_necset
+from convexchoice.necset import alt_necset, conv_necset, from_generators, singleton_necset
 from convexchoice.prob import prob_make
 
 
@@ -80,6 +80,8 @@ def test_choice_alt_examples():
     third = choice_gcm(prob_make(1, 3), t, f)
     assert third.generators == (from_pairs([(True, Fraction(1, 3)), (False, Fraction(2, 3))]),)
     assert alt_gcm(t, f) == from_generators([point(True), point(False)])
+    # the two choices are the set-level operators themselves, with no wrapper
+    assert choice_gcm is conv_necset and alt_gcm is alt_necset
 
 
 @given(kleislis)

@@ -1,10 +1,15 @@
+from dataclasses import fields
+
 import pytest
 
 from conftest import validate_dist
 from convexchoice.gcm import alt_gcm, bind_gcm, ret_gcm
 from convexchoice.laws import (
+    Counterexample,
     GenConfig,
+    LawReport,
     REGISTRY,
+    carrier_of,
     check_all,
     check_law,
     gen_dist,
@@ -46,9 +51,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(trials=0)
     with pytest.raises(ValueError):
-        GenConfig(carrier_size=0)
-    with pytest.raises(ValueError):
         GenConfig(seed=-1)
+    # trials and seed are the only settings; the instance bounds are fixed
+    assert [f.name for f in fields(GenConfig)] == ["trials", "seed"]
+    with pytest.raises(TypeError):
+        GenConfig(carrier_size=1)
 
 
 def test_gen_determinism():
@@ -60,9 +67,9 @@ def test_gen_determinism():
 
 
 def test_degenerate_carrier():
-    cfg = GenConfig(carrier_size=1, trials=1)
+    cfg = GenConfig(trials=1)
     for i in range(50):
-        d = gen_dist(trial_rng(0, "deg", i), cfg)
+        d = gen_dist(trial_rng(0, "deg", i), cfg, keys=["a"])
         assert d == point("a")
 
 
@@ -73,13 +80,16 @@ def test_generated_dists_validate():
 
 
 def test_bounds_respected():
-    cfg = GenConfig(carrier_size=3, max_support=2, max_generators=2, max_denominator=7, trials=1)
+    cfg = GenConfig(trials=1)
+    assert (cfg.carrier_size, cfg.max_support, cfg.max_generators, cfg.max_denominator) == (4, 4, 4, 12)
+    assert carrier_of(cfg) == ["a", "b", "c", "d"]
     for i in range(200):
         d = gen_dist(trial_rng(1, "bounds", i), cfg)
-        assert len(d.entries) <= 2
-        assert all(w.denominator <= 7 for _, w in d.entries)
+        assert len(d.entries) <= 4
+        assert set(d.outcomes) <= {"a", "b", "c", "d"}
+        assert all(w.denominator <= 12 for _, w in d.entries)
         m = gen_gcm(trial_rng(1, "bounds2", i), cfg)
-        assert len(m.generators) <= 2
+        assert len(m.generators) <= 4
 
 
 def test_reports_deterministic():
@@ -128,8 +138,12 @@ def test_verdicts_positive_suite_fast():
 
 def test_render_report_shape():
     report = check_law("neg_bindDr_choice", FAST)
-    text = render_report(report, max_shown=2)
+    text = render_report(report)
     lines = text.splitlines()
     assert lines[0].startswith("PASS neg_bindDr_choice")
     assert "trials=12" in lines[0]
     assert all(line.startswith("    ") for line in lines[1:])
+    assert len(lines) == 1 + len(report.failures) == 5
+    # at most five counterexamples are listed, the rest counted on one line
+    many = LawReport("law", "pass", 9, [Counterexample(t, f"ce{t}") for t in range(7)])
+    assert render_report(many).splitlines()[1:] == [f"    trial {t}: ce{t}" for t in range(5)] + ["    ... 2 more"]

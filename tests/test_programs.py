@@ -344,6 +344,10 @@ def test_render_structured_stable():
     right = render(arb(), "structured")
     assert left == right
     assert left == '[[[true,"1"]],[[false,"1"]]]'
+    # a nested distribution or set renders as an object keyed by its kind
+    assert render(ret_gcm(point("a")), "structured") == '[[[{"dist":[["a","1"]]},"1"]]]'
+    nested_set = ret_gcm(from_generators([point(1), point(2)]))
+    assert render(nested_set, "structured") == '[[[{"necset":[[[1,"1"]],[[2,"1"]]]},"1"]]]'
 
 
 def test_render_unknown_format():
