@@ -16,8 +16,15 @@ from .programs import SourceError, monty, parse, eval_expr, render
 
 
 def _read_source(path: str) -> str:
+    """The program text of a file, or of stdin for `-`: UTF-8 either way, newlines translated."""
     if path == "-":
-        return sys.stdin.read()
+        if sys.stdin is None:  # the process was started with its stdin closed
+            raise OSError("stdin is closed")
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text stream with no bytes beneath it, such as `io.StringIO`
+            return sys.stdin.read()
+        # as `open()` reads a file: any of \r\n, \r and \n ends a line
+        return buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 

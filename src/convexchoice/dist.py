@@ -225,13 +225,48 @@ def conv_dist(p: Prob, d1: Dist, d2: Dist) -> Dist:
 
 
 def mix_dists(family: Sequence[Tuple[int, Dist]]) -> Dist:
-    """The mixture sum w*d / sum w over `[(w, d), ...]`, for positive integer weights w."""
+    """The mixture sum w*d / sum w over `[(w, d), ...]`, for positive integer weights w.
+
+    Two members are merged in one pass over their sorted `okeys`, which the
+    result shares; on a key both hold it keeps the first member's outcome, as
+    `_normalized` does, which mixes three or more.
+    """
     if len(family) == 1:
         return family[0][1]
     den = math.lcm(*(d.den for _, d in family))
-    return _normalized(
-        (k, x, w * (den // d.den) * n) for w, d in family for k, x, n in zip(d.okeys, d.outcomes, d.nums)
-    )
+    if len(family) > 2:
+        return _normalized(
+            (k, x, w * (den // d.den) * n) for w, d in family for k, x, n in zip(d.okeys, d.outcomes, d.nums)
+        )
+    (w1, d1), (w2, d2) = family
+    s1, s2 = w1 * (den // d1.den), w2 * (den // d2.den)
+    keys1, keys2, xs1, xs2, ns1, ns2 = d1.okeys, d2.okeys, d1.outcomes, d2.outcomes, d1.nums, d2.nums
+    len1, len2 = len(keys1), len(keys2)
+    okeys, outcomes, nums = [], [], []
+    i = j = 0
+    while i < len1 and j < len2:
+        k1, k2 = keys1[i], keys2[j]
+        if k1 is k2 or k1 == k2:
+            okeys.append(k1)
+            outcomes.append(xs1[i])
+            nums.append(s1 * ns1[i] + s2 * ns2[j])
+            i, j = i + 1, j + 1
+        elif k1 < k2:
+            okeys.append(k1)
+            outcomes.append(xs1[i])
+            nums.append(s1 * ns1[i])
+            i += 1
+        else:
+            okeys.append(k2)
+            outcomes.append(xs2[j])
+            nums.append(s2 * ns2[j])
+            j += 1
+    okeys += keys1[i:] + keys2[j:]
+    outcomes += xs1[i:] + xs2[j:]
+    nums += [s1 * n for n in ns1[i:]] + [s2 * n for n in ns2[j:]]
+    d = Dist(tuple(outcomes), nums, s1 * d1.den + s2 * d2.den)
+    d.__dict__["okeys"] = tuple(okeys)
+    return d
 
 
 def map_dist(f: Callable[[Outcome], Outcome], d: Dist) -> Dist:

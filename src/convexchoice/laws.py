@@ -107,9 +107,64 @@ class LawReport:
         return bool(self.failures) == (self.expected == "fail")
 
 
+class _TrialRandom(random.Random):
+    """`random.Random` whose `randint`, `choice` and `sample` read `getrandbits` directly.
+
+    Each draws below n as CPython 3.11's `_randbelow` does, `getrandbits(n.bit_length())`
+    again while the bits are >= n, and `sample` of a `range` swaps its pool as 3.11
+    does for at most 21 items, so every call returns what `random.Random`'s does on
+    the same state.  Anything else (an empty range or sequence, a larger or other
+    population, `counts=`) goes to the base method, so errors are the base's.
+    `random` and `getrandbits` are not overridden: `Random.__init_subclass__` would
+    then switch `_randbelow`.
+    """
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if type(n) is not int or n <= 0:
+            return super().randint(a, b)
+        getrandbits, k = self.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            return super().choice(seq)
+        getrandbits, k = self.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    def sample(self, population, k, *, counts=None):
+        if counts is not None or type(population) is not range or type(k) is not int:
+            return super().sample(population, k, counts=counts)
+        n = len(population)
+        if not 0 < k <= n <= 21:
+            return super().sample(population, k)
+        getrandbits, pool, result = self.getrandbits, list(population), []
+        for m in range(n, n - k, -1):  # the m items not chosen yet are pool[:m]
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+
+
 def trial_rng(seed: int, law_name: str, trial: int) -> Rng:
+    """The RNG of one trial, seeded from (seed, law name, trial) alone.
+
+    Its draws are read from the Mersenne Twister's `getrandbits` stream by
+    `_TrialRandom`, so a trial's instance does not depend on how a Python
+    version's `random` turns that stream into integers and samples.
+    """
     digest = hashlib.sha256(f"{seed}|{law_name}|{trial}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return _TrialRandom(int.from_bytes(digest[:8], "big"))
 
 
 # --- instance generators -------------------------------------------------

@@ -1,9 +1,12 @@
-"""Shared hypothesis strategies for small exact instances, and the canonical-form checks."""
+"""Shared hypothesis strategies for small exact instances, the canonical-form checks, and a time budget."""
 
+import contextlib
 import math
+import signal
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
 from convexchoice.convexgeom import canonicalize
 from convexchoice.dist import from_pairs, outcome_key
@@ -57,6 +60,30 @@ outcomes = st.recursive(
     ),
     max_leaves=6,
 )
+
+nested_dists = _dists_over(outcomes)
+
+
+@contextlib.contextmanager
+def time_budget(seconds, what):
+    """Fail the test once `seconds` of wall time pass inside the block.
+
+    Code that went exponential, or looped forever, would otherwise keep the
+    test running until the whole job is stopped from outside.  The alarm
+    repeats every second after that, because one raised inside a
+    garbage-collector callback is reported and dropped.
+    """
+
+    def out_of_time(signum, frame):
+        pytest.fail(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def validate_dist(d):

@@ -461,6 +461,50 @@ def test_value_stdout_cannot_encode_is_one_error_line(encoding, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_stdin_is_utf8_like_a_file_in_the_c_locale(fmt, tmp_path):
+    # in the C locale the text layer of stdin would decode É as two surrogates
+    source = "ret É [~] ret A\n".encode("utf-8")
+    path = tmp_path / "accent.choice"
+    path.write_bytes(source)
+    env = {k: v for k, v in _module_env().items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    command = [sys.executable, "-m", "convexchoice", "eval", "--format", fmt]
+    from_file = subprocess.run([*command, str(path)], capture_output=True, env=env, timeout=60)
+    from_stdin = subprocess.run([*command, "-"], input=source, capture_output=True, env=env, timeout=60)
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+        from_file.returncode, from_file.stdout, from_file.stderr
+    )
+    if fmt == "structured":
+        assert from_stdin.stdout == b'[[["A","1"]],[["\\u00c9","1"]]]\n'
+
+
+@pytest.mark.parametrize("source", [
+    b"ret \xff",  # not UTF-8
+    b"ret 1 <|1/2|>\r\nret 2 <|1/3|>\rret \xc3\x89\r\n)",  # three kinds of line end, then a syntax error
+    "uniform 0 [É, 1, 2]\r\n".encode("utf-8"),
+])
+def test_stdin_bytes_read_as_a_file_reads_them(capsys, monkeypatch, tmp_path, source):
+    path = tmp_path / "prog.choice"
+    path.write_bytes(source)
+    file_code = cli_main(["eval", str(path)])
+    from_file = capsys.readouterr()
+    # a stdin whose text layer is Latin-1: the bytes beneath it are read as UTF-8
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(source), encoding="latin-1"))
+    stdin_code = cli_main(["eval", "-"])
+    from_stdin = capsys.readouterr()
+    assert (stdin_code, from_stdin.out) == (file_code, from_file.out)
+    assert from_stdin.err == from_file.err.replace(f"error: {path}: ", "error: -: ")
+
+
+def test_eval_closed_stdin_is_one_error_line(capsys, monkeypatch):
+    # Python sets sys.stdin to None when the process starts with descriptor 0 closed
+    monkeypatch.setattr("sys.stdin", None)
+    code = cli_main(["eval", "-"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", "error: stdin is closed\n")
+
+
 _ONLY_CHECK_LAWS_LOADS_LAWS = """
 import io, sys
 from convexchoice.cli import cli_main

@@ -1,18 +1,22 @@
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import bool_dists, dist_kleislis, dists, functions, outcomes, probs, validate_dist
+from conftest import bool_dists, dist_kleislis, dists, functions, nested_dists, outcomes, probs, validate_dist
 from convexchoice.convexgeom import HullForm
 from convexchoice.dist import (
     Dist,
+    _normalized,
     bind_dist,
     cached_attr,
     compare_dist,
     conv_dist,
     from_pairs,
     map_dist,
+    mix_dists,
     outcome_key,
     point,
     render_dist,
@@ -210,3 +214,54 @@ def test_nested_keys_are_ordered():
         [(True, Fraction(1, 4)), (2, Fraction(1, 4)), ("z", Fraction(1, 4)), (inner1, Fraction(1, 4))]
     )
     assert [outcome_key(k)[0] for k in mixed.outcomes] == [0, 1, 2, 3]
+
+
+def _assert_merge_is_normalized(family):
+    """Two-member `mix_dists` against `_normalized` on the same weighted triples."""
+    den = math.lcm(*(d.den for _, d in family))
+    triples = [
+        (k, x, w * (den // d.den) * n) for w, d in family for k, x, n in zip(d.okeys, d.outcomes, d.nums)
+    ]
+    merged, sorted_ = mix_dists(family), _normalized(triples)
+    assert (merged.nums, merged.den) == (sorted_.nums, sorted_.den)
+    # the same outcome objects and key tuples: the first member's on a shared key
+    assert len(merged.outcomes) == len(sorted_.outcomes)
+    assert all(a is b for a, b in zip(merged.outcomes, sorted_.outcomes))
+    assert len(merged.okeys) == len(sorted_.okeys)
+    assert all(a is b for a, b in zip(merged.okeys, sorted_.okeys))
+    validate_dist(merged)
+
+
+_INNER = d_of(("a", 1, 2), ("b", 1, 2))
+_INNER_COPY = d_of(("a", 1, 2), ("b", 1, 2))  # equal to _INNER, a distinct object
+_MIXED = from_pairs([(True, Fraction(1, 2)), (1, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("d1, d2", [
+    # disjoint supports, one before the other and interleaved
+    (d_of(("a", 1, 2), ("b", 1, 2)), d_of(("c", 1, 3), ("d", 2, 3))),
+    (d_of(("a", 1, 2), ("c", 1, 2)), d_of(("b", 1, 3), ("d", 2, 3))),
+    # one support inside the other, both ways round
+    (d_of(("b", 1, 1)), d_of(("a", 1, 4), ("b", 1, 4), ("c", 1, 2))),
+    (d_of(("a", 1, 4), ("b", 1, 4), ("c", 1, 2)), d_of(("c", 1, 1))),
+    # identical supports, and one distribution with itself
+    (d_of(("a", 1, 3), ("b", 2, 3)), d_of(("a", 3, 4), ("b", 1, 4))),
+    (_INNER, _INNER),
+    # True next to 1
+    (_MIXED, from_pairs([(1, Fraction(1, 3)), (True, Fraction(1, 3)), (2, Fraction(1, 3))])),
+    (point(1), point(True)),
+    # nested outcomes, equal but distinct ones on a shared key
+    (from_pairs([(_INNER, Fraction(1, 2)), (point("a"), Fraction(1, 2))]),
+     from_pairs([(_INNER_COPY, Fraction(1, 3)), (_MIXED, Fraction(2, 3))])),
+    (from_pairs([(from_generators([_INNER]), Fraction(1, 2)), ("z", Fraction(1, 2))]),
+     from_pairs([(from_generators([_INNER_COPY]), Fraction(1, 4)),
+                 (from_generators([point("a"), point("b")]), Fraction(3, 4))])),
+])
+@pytest.mark.parametrize("w1, w2", [(1, 1), (2, 3), (5, 1)])
+def test_two_member_mix_merges_as_normalized_does(d1, d2, w1, w2):
+    _assert_merge_is_normalized([(w1, d1), (w2, d2)])
+
+
+@given(nested_dists, nested_dists, st.integers(1, 6), st.integers(1, 6))
+def test_two_member_mix_merges_as_normalized_does_on_any_outcomes(d1, d2, w1, w2):
+    _assert_merge_is_normalized([(w1, d1), (w2, d2)])

@@ -9,14 +9,13 @@ of a sequence is evaluated once per entry of every generator.  `eval_expr`
 must give the same value, or raise the same first error, on every program.
 """
 
-import contextlib
 import io
 import random
-import signal
 import time
 
 import pytest
 
+from conftest import time_budget
 from convexchoice import programs
 from convexchoice.cli import cli_main
 from convexchoice.gcm import alt_gcm, bind_gcm, choice_gcm, ret_gcm
@@ -320,28 +319,6 @@ def _chain(n):
     return "".join(heads) + f"ret x{n}"
 
 
-@contextlib.contextmanager
-def _time_budget(seconds, what):
-    """Fail the test once `seconds` of wall time pass inside the block.
-
-    An evaluator that went exponential would otherwise keep the test running
-    until the whole job is stopped from outside.  The alarm repeats every
-    second after that, because one raised inside a garbage-collector callback
-    is reported and dropped.
-    """
-
-    def out_of_time(signum, frame):
-        pytest.fail(f"{what} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, out_of_time)
-    signal.setitimer(signal.ITIMER_REAL, seconds, 1)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _eval_stdin(capsys, monkeypatch, source, *flags):
     monkeypatch.setattr("sys.stdin", io.StringIO(source))
     code = cli_main(["eval", *flags, "-"])
@@ -353,7 +330,7 @@ def _eval_stdin(capsys, monkeypatch, source, *flags):
 def test_chain_canonicalizes_linearly(capsys, monkeypatch, n, calls):
     # 4n - 2: a binder's rest is evaluated once per value of its own variable,
     # which is all that the rest reads
-    with _time_budget(5, f"a chain of {n} binders"):
+    with time_budget(5, f"a chain of {n} binders"):
         code, out, err = _eval_stdin(capsys, monkeypatch, _chain(n), "--stats")
     assert (code, out) == (0, "{true: 1}\n{false: 1}\n")
     assert f" canonicalize_calls={calls} " in err
@@ -362,7 +339,7 @@ def test_chain_canonicalizes_linearly(capsys, monkeypatch, n, calls):
 def test_long_chains_evaluate():
     for n in (64, 200):
         start = time.perf_counter()
-        with _time_budget(5, f"a chain of {n} binders"):
+        with time_budget(5, f"a chain of {n} binders"):
             got = run(_chain(n))
         assert time.perf_counter() - start < 1.0  # under 0.05 s on a 2-core host
         assert render(got) == "{true: 1}\n{false: 1}"

@@ -1,8 +1,10 @@
+import hashlib
+import random
 from dataclasses import fields
 
 import pytest
 
-from conftest import validate_dist
+from conftest import time_budget, validate_dist
 from convexchoice.gcm import alt_gcm, bind_gcm, ret_gcm
 from convexchoice.laws import (
     Counterexample,
@@ -90,6 +92,78 @@ def test_bounds_respected():
         assert all(w.denominator <= 12 for _, w in d.entries)
         m = gen_gcm(trial_rng(1, "bounds2", i), cfg)
         assert len(m.generators) <= 4
+
+
+def _pair(seed):
+    """A trial RNG and a `random.Random` in the same state."""
+    rng = trial_rng(seed, "draws", 0)
+    base = random.Random()
+    base.setstate(rng.getstate())
+    return rng, base
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_trial_rng_draws_as_random_does(seed):
+    # every argument shape the suite draws with, in one stream, so a call that
+    # read a different number of bits would also shift every later draw
+    rng, base = _pair(seed)
+    for a in range(-12, 25):
+        for b in range(a, 25):
+            assert rng.randint(a, b) == base.randint(a, b), (a, b)
+    for lo in (-3, 0, 1):
+        for n in range(22):
+            for k in range(n + 1):
+                population = range(lo, lo + n)
+                assert rng.sample(population, k) == base.sample(population, k), (lo, n, k)
+    for n in range(1, 13):
+        items = [f"x{i}" for i in range(n)]
+        assert rng.choice(items) == base.choice(items), n
+    # shapes the suite does not use go to the base methods
+    assert rng.sample(range(40), 6) == base.sample(range(40), 6)
+    assert rng.sample(list("abc"), 4, counts=[1, 2, 3]) == base.sample(list("abc"), 4, counts=[1, 2, 3])
+    assert rng.sample((1, 2, 3), 2) == base.sample((1, 2, 3), 2)
+    assert rng.getstate() == base.getstate()
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_trial_rng_empty_draws_raise_as_random_does():
+    rng, base = _pair(7)
+    calls = [
+        lambda r: r.randint(3, 2),
+        lambda r: r.randint(0, -5),
+        lambda r: r.choice([]),
+        lambda r: r.choice(range(0)),
+        lambda r: r.sample(range(0), 1),
+        lambda r: r.sample(range(5), 6),
+        lambda r: r.sample(range(5), -1),
+        lambda r: r.sample({1, 2}, 1),
+    ]
+    with time_budget(5, "an empty draw"):  # getrandbits(0) is always 0, so a loop on it never ends
+        for call in calls:
+            got = _raised(lambda: call(rng))
+            assert got is not None and got == _raised(lambda: call(base))
+        assert rng.sample(range(0), 0) == base.sample(range(0), 0) == []
+    assert rng.getstate() == base.getstate()
+
+
+def test_trial_instances_depend_on_seed_law_and_trial_alone():
+    # each checker gives the same verdict and counterexample text from the trial
+    # RNG as from a `random.Random` seeded the documented way
+    for seed in (0, 42, 2**64 - 1):
+        config = GenConfig(trials=5, seed=seed)
+        for name, case in REGISTRY.items():
+            for trial in range(config.trials):
+                digest = hashlib.sha256(f"{seed}|{name}|{trial}".encode()).digest()
+                base = random.Random(int.from_bytes(digest[:8], "big"))
+                got = case.checker(trial_rng(seed, name, trial), config)
+                assert got == case.checker(base, config), (seed, name, trial)
 
 
 def test_reports_deterministic():
