@@ -1,13 +1,14 @@
 """Convex-space operations, exact hull membership, and generator canonicalization.
 
-All membership work reads one integer form of a generator list (`HullForm`): an
-index of the supported outcomes and one column of integer weights per
-generator.  A membership query maps the point into that index and answers
-with no LP in three cases: False when the point has weight on an outcome no
-generator has, True when its row equals a generator's column, and False when
-its value on a coordinate, or on a difference of two (`_functionals`), lies
-outside the range that functional spans over the generators (kept once per
-form, compared as integers).  Otherwise it runs a
+All membership work reads one integer form of a generator list (`HullForm`):
+an index of the supported outcomes and their rows of integer weights over one
+common scale, built in one pass, and lazily the generators' columns and the
+functional ranges.  A membership query maps the point into that index and
+answers with no LP in three cases: False when the point has weight on an
+outcome no generator has, True when its row equals a generator's column, and
+False when its value on a coordinate, or on a difference of two
+(`_functionals`), lies outside the range that functional spans over the
+generators (kept once per form, compared as integers).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
 presolve, no artificial columns, the largest reduced cost until the first
 degenerate pivot and Bland's rule after it, so it terminates, and an early
@@ -108,15 +109,6 @@ def vectorize(d: Dist, basis: Sequence[Outcome]) -> Tuple[Fraction, ...]:
     return tuple(d.weight(b) for b in basis)
 
 
-def _coordinate_index(dists: Sequence[Dist]) -> Dict[tuple, int]:
-    """Row index of every supported outcome, by `outcome_key` so `True` and `1` differ."""
-    index: Dict[tuple, int] = {}
-    for d in dists:
-        for k in d.okeys:
-            index.setdefault(k, len(index))
-    return index
-
-
 def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
     """The numerators of `d`, over its own `den`, in the rows of `index`.
 
@@ -153,17 +145,28 @@ def _functionals(rows: Sequence, diff: Callable) -> Iterator:
 class HullForm:
     """The integer form of a generator list, read by every hull query on it.
 
-    `index` numbers the supported outcomes; `columns` holds each generator's
-    `_int_coords`, `column_set` the same tuples for lookup, `rows` the
-    weights of each coordinate over one common scale, and `ranges` the span
-    of every one of `_functionals`.  All are built on first use, so
-    `canonicalize` pays for no lookup set or ranges.  Nothing is changed
-    after it is built, so a form can serve any number of queries.
+    Built in one pass over each generator's `(okeys, nums)`: `index` numbers
+    the supported outcomes in first-seen order, and `rows` is `(scale, rows)`
+    with row r holding each generator's weight on outcome r times `scale`,
+    the lcm of the `den`s, so all are integers.  Built on first use: `columns`
+    (each generator's `_int_coords`), `column_set` for lookup, and `ranges`
+    (the span of each of `_functionals`).  Nothing changes after it is built.
     """
 
     def __init__(self, generators: Sequence[Dist]) -> None:
         self.generators = generators
-        self.index = _coordinate_index(generators)
+        scale, n = math.lcm(*[g.den for g in generators]), len(generators)
+        index: Dict[tuple, int] = {}
+        rows: List[List[int]] = []
+        for j, g in enumerate(generators):
+            s = scale // g.den
+            for k, v in zip(g.okeys, g.nums):
+                i = index.get(k)
+                if i is None:
+                    i = index[k] = len(rows)
+                    rows.append([0] * n)
+                rows[i][j] = v * s
+        self.index, self.rows = index, (scale, rows)
 
     @cached_attr
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
@@ -172,17 +175,6 @@ class HullForm:
     @cached_attr
     def column_set(self) -> FrozenSet[Tuple[int, ...]]:
         return frozenset(self.columns)
-
-    @cached_attr
-    def rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
-        """`(scale, rows)`: row r holds every generator's weight on coordinate r, times `scale`.
-
-        A column sums to its generator's `den`, so over the common multiple
-        `scale` of those every weight is an integer and compares exactly.
-        """
-        dens = [g.den for g in self.generators]
-        scale = math.lcm(*dens)
-        return scale, list(zip(*([v * (scale // s) for v in col] for col, s in zip(self.columns, dens))))
 
     @cached_attr
     def ranges(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
@@ -313,18 +305,19 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
 def _order_masks(points: Sequence[Sequence[int]], shift: int = 0) -> List[Tuple[Tuple[int, int], ...]]:
     """Per point and coordinate, the bitmasks of the points strictly above and strictly below it.
 
-    Point b of `points` is bit `shift + b`.
+    Point b of `points` is bit `shift + b`.  Points with the same value on a
+    coordinate share one `(above, below)` pair.
     """
+    full = (1 << len(points) + shift) - (1 << shift)
     per_row = []
     for row in zip(*points):
         at: Dict[int, int] = {}
         for b, v in enumerate(row, shift):
             at[v] = at.get(v, 0) | 1 << b
-        below, acc = {}, 0
+        below = 0
         for v in sorted(at):
-            below[v] = acc
-            acc |= at[v]
-        per_row.append([(acc ^ below[v] ^ at[v], below[v]) for v in row])
+            at[v], below = (full ^ below ^ at[v], below), below | at[v]
+        per_row.append([*map(at.__getitem__, row)])
     return list(zip(*per_row))
 
 

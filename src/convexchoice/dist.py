@@ -17,15 +17,18 @@ entries.  A `NECSet` compares its generator tuple entry by entry, with a
 strict prefix smaller.  Mixing, merging and pushforward work on the
 numerators, with one gcd per result, and build their results with the one
 constructor, `Dist(outcomes, nums, den)`, which reduces by the gcd and
-checks nothing else.  `Fraction`s are only at the edges: `from_pairs` takes
-them, checked, and `entries`, `weight()` and rendering give them back.
-Outcome keys, hashes and `entries` are computed once per value by `cached_attr`.
+checks nothing else; `_normalized` sorts weighted outcomes stably by key and
+merges equal neighbours, hashing none.  `Fraction`s are only at the edges:
+`from_pairs` takes them, checked, and `entries`, `weight()` and rendering
+give them back.  Outcome keys, hashes and `entries` are computed once per
+value by `cached_attr`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from . import stats
@@ -33,6 +36,7 @@ from .prob import Prob, render_rational
 
 Outcome = object
 Entry = Tuple[Outcome, Fraction]
+_first = itemgetter(0)
 
 # The sort key of each exact outcome type; every `Keyed` class adds itself.
 _KEY_OF_TYPE: Dict[type, Callable[[Outcome], tuple]] = {
@@ -166,18 +170,21 @@ class Dist(Keyed, tag=3):
 def _normalized(triples: Iterable[Tuple[tuple, Outcome, int]]) -> Dist:
     """The distribution proportional to positive integer weights, merged by outcome and sorted.
 
-    Takes `(outcome_key(x), x, weight)` triples.
+    Takes `(outcome_key(x), x, weight)` triples, sorts them stably by key and
+    sums the weights of equal neighbours, keeping the first outcome given and
+    its key, as a dict would.  The result comes with its `okeys`.
     """
-    acc: dict = {}
-    for k, key, n in triples:
-        if k in acc:
-            acc[k][1] += n
+    okeys, outcomes, nums = [], [], []
+    last = None
+    for k, x, n in sorted(triples, key=_first):
+        if k == last:
+            nums[-1] += n
         else:
-            acc[k] = [key, n]
-    okeys = sorted(acc)
-    merged = [acc[k] for k in okeys]
-    nums = [n for _, n in merged]
-    d = Dist(tuple(k for k, _ in merged), nums, sum(nums))
+            okeys.append(k)
+            outcomes.append(x)
+            nums.append(n)
+            last = k
+    d = Dist(tuple(outcomes), nums, sum(nums))
     d.__dict__["okeys"] = tuple(okeys)
     return d
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 
 from convexchoice import __version__, cli
 from convexchoice.cli import cli_main
+from convexchoice.programs import render_expr
+from test_programs import _gen_expr
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -360,6 +363,31 @@ def _module_env():
     return {**os.environ, "PYTHONPATH": src}
 
 
+_CHAIN_PEAK = """
+import resource, sys
+from convexchoice.cli import cli_main
+
+code = cli_main(["eval", "-"])
+sys.stdout.flush()
+# this process's own peak: RUSAGE_CHILDREN would report the largest child of the session
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_eval_choice_chain_peak_memory():
+    # 14 two-way choices on overlapping pairs give 2^14 vertices, about 1 MiB
+    # of text; order masks built per point, not per value, took 122 MiB here
+    n = 14
+    chain = " <|1/2|> ".join(["arbitrary 0 [0, 1]"] + [f"arbitrary 0 [{i}, {i + 1}]" for i in range(1, n)])
+    done = subprocess.run(
+        [sys.executable, "-c", _CHAIN_PEAK], input=chain, capture_output=True, text=True,
+        env=_module_env(), timeout=120,
+    )
+    code, peak_kib = map(int, done.stderr.split())
+    assert code == 0 and done.stdout.count("\n") == 2 ** n
+    assert peak_kib < 80 * 1024, f"max RSS {peak_kib // 1024} MiB"
+
+
 def test_run_as_module_from_a_checkout():
     done = subprocess.run(
         [sys.executable, "-m", "convexchoice", "version"],
@@ -550,15 +578,55 @@ _sources = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_sources, st.sampled_from(["text", "structured"]))
-def test_eval_is_total(source, fmt):
+# Corpus and generated programs with one byte inserted, deleted or replaced:
+# the bytes need not be UTF-8 any more.
+_PROGRAMS = [path.read_bytes() for path in sorted(CORPUS.glob("*.choice"))] + [
+    render_expr(_gen_expr(random.Random(seed), frozenset(), 3)).encode() for seed in range(24)
+]
+
+
+# new bytes from the language's own alphabet, so that some mutants still parse, and
+# from outside ASCII, so that some are not UTF-8
+_bytes = st.one_of(
+    st.sampled_from(b" \t\r\n0123456789-/,;()[]<|>~=abdeinorstuAB"), st.integers(0, 0x7F), st.integers(0x80, 0xFF)
+)
+
+
+@st.composite
+def _mutants(draw):
+    data = bytearray(draw(st.sampled_from(_PROGRAMS)))
+    at = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "delete":
+        del data[at]
+    else:
+        data[at : at + (edit == "replace")] = bytes([draw(_bytes)])
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_sources.map(str.encode), _mutants()),
+    st.sampled_from(["text", "structured"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_eval_is_total(source, fmt, with_stats, byte_backed):
+    # a byte-backed stdin is read through its buffer as UTF-8; a text one as it is
+    if byte_backed:
+        stdin = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
+    else:
+        stdin = io.StringIO(source.decode("utf-8", "surrogateescape"))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
-        sys, "stdin", io.StringIO(source)
-    ):
-        code = cli_main(["eval", "--format", fmt, "-"])
-    assert code in (0, 1)
-    if code == 1:
-        lines = err.getvalue().splitlines()
+    argv = ["eval", "--format", fmt, *(["--stats"] if with_stats else []), "-"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
+        code = cli_main(argv)
+    lines = err.getvalue().splitlines()
+    if with_stats:  # the counters' line comes last, whichever way the run ends
+        assert lines and lines[-1].startswith("stats: ")
+        lines = lines[:-1]
+    if code == 0:
+        assert out.getvalue().endswith("\n") and lines == []
+    else:
+        assert code == 1 and out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -253,6 +254,43 @@ def _random_instance(rng):
         total = sum(weights)
         gens.append(from_pairs((k, Fraction(w, total)) for k, w in zip(support, weights)))
     return gens + rng.sample(gens, rng.randint(0, len(gens)))
+
+
+def _hull_form_reference(gens):
+    """`(index, scale, rows)` from each generator's `_int_coords` column, rescaled and transposed."""
+    index = {}
+    for g in gens:
+        for k in g.okeys:
+            index.setdefault(k, len(index))
+    columns = [convexgeom._int_coords(g, index) for g in gens]
+    scale = math.lcm(*(g.den for g in gens))
+    scaled = [[v * (scale // g.den) for v in col] for col, g in zip(columns, gens)]
+    return list(index.items()), scale, [list(row) for row in zip(*scaled)]
+
+
+def _mixed_den_instance(rng):
+    # weights over their own totals, so the dens differ and the scale is their lcm
+    keys = rng.sample(_KEYS + ("d", 2, False, point(True)), rng.randint(2, 7))
+    gens = []
+    for _ in range(rng.randint(1, 7)):
+        support = rng.sample(keys, rng.randint(1, len(keys)))
+        weights = [rng.randint(1, 9) for _ in support]
+        gens.append(from_pairs((k, Fraction(w, sum(weights))) for k, w in zip(support, weights)))
+    return gens
+
+
+def test_hull_form_index_and_rows_match_the_column_reference():
+    rng = random.Random(27)
+    cases = [_random_instance(rng) for _ in range(150)] + [_mixed_den_instance(rng) for _ in range(150)]
+    assert any(len({g.den for g in gens}) > 2 for gens in cases)
+    for gens in cases:
+        form = HullForm(gens)
+        index, scale, rows = _hull_form_reference(gens)
+        # the index in first-seen order, not only the same pairs
+        assert list(form.index.items()) == index, gens
+        assert form.rows == (scale, rows), gens
+        # each column is its generator's own numerators: its row entries over scale / den
+        assert form.columns == tuple(tuple(r[j] // (scale // g.den) for r in rows) for j, g in enumerate(gens))
 
 
 def test_canonicalize_matches_oracle_reference():

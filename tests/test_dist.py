@@ -265,3 +265,68 @@ def test_two_member_mix_merges_as_normalized_does(d1, d2, w1, w2):
 @given(nested_dists, nested_dists, st.integers(1, 6), st.integers(1, 6))
 def test_two_member_mix_merges_as_normalized_does_on_any_outcomes(d1, d2, w1, w2):
     _assert_merge_is_normalized([(w1, d1), (w2, d2)])
+
+
+def _normalized_reference(triples):
+    """`_normalized` as a dict of keys, then the sorted keys: each key's first outcome and the sum."""
+    acc: dict = {}
+    for k, x, n in triples:
+        if k in acc:
+            acc[k][1] += n
+        else:
+            acc[k] = [x, n]
+    okeys = sorted(acc)
+    merged = [acc[k] for k in okeys]
+    nums = [n for _, n in merged]
+    return tuple(okeys), tuple(x for x, _ in merged), nums, sum(nums)
+
+
+def _assert_normalized_as_reference(triples):
+    got = _normalized(iter(triples))
+    okeys, outcomes, nums, den = _normalized_reference(triples)
+    g = math.gcd(den, *nums)
+    assert (got.nums, got.den) == (tuple(n // g for n in nums), den // g)
+    # the first outcome and key tuple given for each key, by identity
+    assert len(got.outcomes) == len(outcomes) and len(got.okeys) == len(okeys)
+    assert all(a is b for a, b in zip(got.outcomes, outcomes))
+    assert all(a is b for a, b in zip(got.okeys, okeys))
+    validate_dist(got)
+
+
+def _triples(*pairs):
+    return [(outcome_key(x), x, n) for x, n in pairs]
+
+
+_SET = from_generators([_INNER, point("b")])
+_SET_COPY = from_generators([point("b"), _INNER_COPY])  # equal to _SET, a distinct object
+
+
+@pytest.mark.parametrize("triples", [
+    _triples((3, 1)),
+    # duplicates, adjacent and apart, and a key given three times
+    _triples(("b", 1), ("a", 2), ("b", 3), ("c", 1), ("a", 1), ("b", 2)),
+    # True next to 1, and False next to 0, in both orders
+    _triples((1, 1), (True, 2), (0, 3), (False, 1), (True, 1), (1, 2)),
+    # equal but distinct nested outcomes: the first one given is kept
+    _triples((_INNER_COPY, 1), ("z", 2), (_INNER, 3), (point("a"), 1), (_INNER, 1)),
+    _triples((_SET, 2), (_SET_COPY, 1), (_INNER, 1), (_SET_COPY, 4), (_INNER_COPY, 1)),
+    _triples((_SET_COPY, 1), (_SET, 1), (True, 1), (_INNER_COPY, 1), (_INNER, 1), (1, 5)),
+    # a common factor in the weights
+    _triples(("a", 2), ("b", 4), ("a", 6)),
+])
+def test_normalized_keeps_the_first_outcome_of_each_key(triples):
+    _assert_normalized_as_reference(triples)
+
+
+def _copy(x):
+    if type(x) is Dist:
+        return Dist(x.outcomes, x.nums, x.den)
+    return NECSet(x.generators) if type(x) is NECSet else x
+
+
+@given(st.lists(st.tuples(outcomes, st.integers(1, 6)), min_size=1, max_size=8), st.randoms())
+def test_normalized_matches_the_dict_reference_on_any_outcomes(pairs, rnd):
+    # each nested outcome again as an equal but distinct copy
+    mixed = pairs + [(_copy(x), n) for x, n in pairs]
+    rnd.shuffle(mixed)
+    _assert_normalized_as_reference(_triples(*mixed))
