@@ -10,12 +10,13 @@ False when its value on a coordinate, or on a difference of two
 (`_functionals`), lies outside the range that functional spans over the
 generators (kept once per form, compared as integers).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
-presolve, no artificial columns, the largest reduced cost until the first
-degenerate pivot and Bland's rule after it, so it terminates, and an early
-stop once the artificial sum is 0.  Its rows are integer-preserving (Edmonds
-1967, Bareiss 1968): all of them share one denominator, the last pivot, so a
-pivot updates a row with one exact division and no gcd.  Every sign test is
-exact, so it needs no tolerance.  `in_hull` builds a form for one query; a
+presolve, no artificial columns, the largest reduced cost except after as
+many degenerate pivots in a row as rows, when Bland's rule picks until the
+next nondegenerate one, so it terminates, and an early stop once the
+artificial sum is 0.  Its rows are integer-preserving (Edmonds 1967, Bareiss
+1968): all of them share one denominator, the last pivot, so a pivot updates
+a row with one exact division and no gcd.  Every sign test is exact, so it
+needs no tolerance.  `in_hull` builds a form for one query; a
 `NECSet` keeps the form of its generators for all of its queries.
 
 `minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
@@ -239,11 +240,14 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
     for multipliers y with y^T column <= 0 for every column and y^T rhs > 0,
     a Farkas certificate that no x exists.
 
-    The entering column has the largest reduced cost until the first
-    degenerate pivot (pivot row rhs 0) and the smallest index with a positive
-    one from then on, with ties in the ratio test going to the smallest basic
-    index.  Until the switch every pivot strictly lowers the artificial sum,
-    so no basis repeats; after it, Bland's rule guarantees termination.
+    The entering column has the largest reduced cost, except after a stall:
+    once `len(tab)` degenerate pivots (pivot row rhs 0) have run in a row, it
+    is the smallest index with a positive one (Bland, Math. Oper. Res. 2,
+    1977) until a nondegenerate pivot resets the count.  Ties in the ratio
+    test go to the smallest basic index.  It terminates: each nondegenerate
+    pivot strictly lowers the artificial sum, so no basis repeats across
+    them, and a degenerate run that never ended would be all Bland pivots
+    from some point on, which cannot cycle.
 
     Rows are integer-preserving (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
     Math. Comp. 22, 1968): the tableau and the objective row are integers over
@@ -259,14 +263,13 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
     """
     obj = [*map(sum, zip(*tab))] or [0]  # an empty tableau is feasible
     basis = list(range(n, n + len(tab)))  # artificials get indices past the columns
-    bland = False
-    pivots = 0
+    stall = pivots = 0
     den = 1
     while obj[-1]:
         enter = max(range(n), key=obj.__getitem__, default=None)
         if enter is None or obj[enter] <= 0:
             break  # a Farkas certificate: infeasible
-        if bland:
+        if stall >= len(tab):
             enter = next(j for j in range(n) if obj[j] > 0)
         # obj[enter] > 0 sums the column over rows with an artificial basic
         # variable, so some row has a positive entry and a row leaves.
@@ -283,7 +286,7 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
                         leave = i
         pivot_row = tab[leave]
         piv = pivot_row[enter]
-        bland = bland or not pivot_row[-1]
+        stall = 0 if pivot_row[-1] else stall + 1
         for i, row in enumerate(tab):
             if i != leave:
                 f = row[enter]

@@ -200,9 +200,10 @@ def from_pairs(pairs: Iterable[Entry]) -> Dist:
         stats.counts["from_pairs_calls"] += 1
     kept = []
     for key, weight in pairs:
-        if weight < 0:
+        sign = weight.numerator if type(weight) is Fraction else weight  # Fraction's < and bool are slow
+        if sign < 0:
             raise ValueError(f"negative weight {weight} for key {key!r}")
-        if weight:
+        if sign:
             kept.append((key, weight))
     if not kept:
         raise ValueError("distribution must have non-empty support")

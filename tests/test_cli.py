@@ -422,16 +422,16 @@ def _choice_chain(n):
 
 def test_closed_stdout_exits_1_with_no_message():
     # 2048 lines, about 160 KB: more than a pipe holds, so the writer meets the closed end
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "convexchoice", "eval", "-"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(), bufsize=0,
-    )
-    proc.stdin.write(_choice_chain(11).encode())
-    proc.stdin.close()
-    assert proc.stdout.readline().startswith(b"{0: 1/1024, 1: 1/1024, 2: 1/512, ")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    ) as proc:  # leaving the block closes stderr too
+        proc.stdin.write(_choice_chain(11).encode())
+        proc.stdin.close()
+        assert proc.stdout.readline().startswith(b"{0: 1/1024, 1: 1/1024, 2: 1/512, ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
     # a short output, to a pipe closed before the command starts
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -617,16 +617,82 @@ def test_eval_is_total(source, fmt, with_stats, byte_backed):
         stdin = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
     else:
         stdin = io.StringIO(source.decode("utf-8", "surrogateescape"))
+    _assert_total(["eval", "--format", fmt, *(["--stats"] if with_stats else []), "-"], stdin)
+
+
+def _run_in_process(argv, stdin=None):
+    """(exit code, stdout, stderr lines) of `cli_main(argv)` on `stdin`; a usage error's exit is its code."""
     out, err = io.StringIO(), io.StringIO()
-    argv = ["eval", "--format", fmt, *(["--stats"] if with_stats else []), "-"]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
-        code = cli_main(argv)
-    lines = err.getvalue().splitlines()
-    if with_stats:  # the counters' line comes last, whichever way the run ends
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def _assert_total(argv, stdin=None):
+    """A value and exit 0, or nothing on stdout and one `error:` line with exit 1; the code is returned."""
+    code, out, lines = _run_in_process(argv, stdin)
+    if "--stats" in argv:  # the counters' line comes last, whichever way the run ends
         assert lines and lines[-1].startswith("stats: ")
         lines = lines[:-1]
     if code == 0:
-        assert out.getvalue().endswith("\n") and lines == []
+        assert out.endswith("\n") and lines == []
     else:
-        assert code == 1 and out.getvalue() == ""
+        assert code == 1 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
+
+
+_LONG = "9" * 4400  # past the 4300 digits `int()` converts
+_AT_LIMIT = "7" * 4300
+
+# inputs past the limits the parser and evaluator set: (source, expected exit)
+_PAST_THE_LIMITS = {
+    "parentheses past the depth limit": ("(" * 101 + "ret 1" + ")" * 101, 1),
+    "parentheses at the depth limit": ("(" * 100 + "ret 1" + ")" * 100, 0),
+    "3000 parentheses": ("(" * 3000 + "ret 1" + ")" * 3000, 1),
+    "3000 open parentheses": ("(" * 3000, 1),
+    "3000 nested choices": ("(ret 1 [~] " * 3000 + "ret 2" + ")" * 3000, 1),
+    "3000 open lists": ("arbitrary 0 [" * 3000, 1),
+    "3000 binders": ("do x <- arbitrary 0 [1, 2]; " * 3000 + "ret x", 0),
+    "a long value": ("ret " + _LONG, 1),
+    "a long negative value": ("ret -" + _LONG, 1),
+    "a long weight denominator": (f"ret 1 <|1/{_LONG}|> ret 2", 1),
+    "a long weight": (f"ret 1 <|{'1' * 4400}/{'2' * 4400}|> ret 2", 1),
+    "a long list item": (f"arbitrary 0 [1, {_LONG}]", 1),
+    "a long uniform item": (f"uniform 1 [{_LONG}, 2]", 1),
+    "a value at the digit limit": ("ret " + _AT_LIMIT, 0),
+    "a list item at the digit limit": (f"arbitrary 0 [1, {_AT_LIMIT}]", 0),
+    "weights rendered past the digit limit": (f"(ret 1 <|1/{_AT_LIMIT}|> ret 2) <|1/{_AT_LIMIT}|> ret 3", 0),
+    "a 1200-link choice chain": (" <|1/2|> ".join(f"ret {i}" for i in range(1201)), 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("name", list(_PAST_THE_LIMITS))
+def test_eval_is_total_past_the_limits(name, fmt):
+    source, code = _PAST_THE_LIMITS[name]
+    stdin = io.TextIOWrapper(io.BytesIO(source.encode()), encoding="utf-8")
+    assert _assert_total(["eval", "--format", fmt, "-"], stdin) == code
+
+
+@pytest.mark.parametrize("args", [
+    "--trials 0", "--trials -1", "--trials 2", "--trials 2 --stats", "--trials x", "--trials",
+    "--trials 2 --seed -1", "--trials 1 --seed 18446744073709551616", "--trials 2 --seed 7",
+    "--law choicemm --trials 2", "--law choicemm --trials 1 --seed 0 --stats", "--law nope --trials 1",
+    "--law", "--trial 1", "--trial 1 --trials 2", "--law bindA --trial -1",
+    "--law bindA --trial 5 --trials 2", "--law bindA --trial 99999999999999999999 --trials 1",
+    "--law neg_bindDr_alt --trial 1", "--law neg_bindDr_choice --trial 0 --trials 1 --seed 7",
+    "--law neg_bindDr_alt --trials 2 --seed 7", "--law choicemm --trial x",
+])
+def test_check_laws_is_total(args):
+    assert _assert_total(["check-laws", *args.split()]) in (0, 1)
+
+
+def test_a_failed_law_verdict_is_exit_2_with_one_line():
+    # at one trial a negative control finds no counterexample, which fails it
+    code, out, lines = _run_in_process(["check-laws", "--trials", "1"])
+    assert (code, lines) == (2, ["1 law(s) failed"])
+    assert out.count("\n") == 48 and "FAIL neg_" in out

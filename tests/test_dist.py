@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -57,6 +58,85 @@ def test_invalid_dists_rejected():
     assert from_pairs([("a", Fraction(2, 2))]) == point("a")
     with pytest.raises(TypeError):
         outcome_key(1.5)  # a float is no outcome
+
+
+def _from_pairs_by_comparison(pairs):
+    """`from_pairs` as it was when it read every weight's sign with `<` and `bool`."""
+    kept = []
+    for key, weight in pairs:
+        if weight < 0:
+            raise ValueError(f"negative weight {weight} for key {key!r}")
+        if weight:
+            kept.append((key, weight))
+    if not kept:
+        raise ValueError("distribution must have non-empty support")
+    for key, weight in kept:
+        if not isinstance(weight, Fraction):
+            raise ValueError(f"weight {weight!r} for key {key!r} is not a positive Fraction")
+    den = math.lcm(*(w.denominator for _, w in kept))
+    nums = [w.numerator * (den // w.denominator) for _, w in kept]
+    if sum(nums) != den:
+        raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
+    return _normalized((outcome_key(k), k, n) for (k, _), n in zip(kept, nums))
+
+
+class _LoggedFraction(Fraction):
+    """A `Fraction` subclass that logs each sign test made on it."""
+
+    log = []
+
+    def __lt__(self, other):
+        self.log.append(("<", self, other))
+        return super().__lt__(other)
+
+    def __bool__(self):
+        self.log.append(("bool", self))
+        return super().__bool__()
+
+
+def _outcome(fn, pairs):
+    """`fn(pairs)`, or the type and message it raised, with the sign tests it made on subclass weights."""
+    _LoggedFraction.log = []
+    try:
+        result = fn(pairs)
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, _LoggedFraction.log
+
+
+def test_from_pairs_matches_reading_signs_by_comparison():
+    rng = random.Random(31)
+    f, sub = Fraction, _LoggedFraction
+    cases = [
+        [],
+        [("a", f(0))],
+        [("a", f(0)), ("b", 0), ("c", 0.0), ("d", False)],
+        [("a", f(1, 2))],  # does not sum to 1
+        [("a", f(1, 2)), ("b", f(1, 3))],
+        [("a", f(3, 2)), ("b", f(-1, 2))],  # a negative weight, not first
+        [("a", f(-1, 2)), ("b", -1), ("c", f(3, 2))],  # two negative weights: the first is named
+        [("a", -0.5), ("b", f(-1, 2)), ("c", f(2))],
+        [("a", 1)],
+        [("a", True)],
+        [("a", 1.0)],
+        [("a", f(1, 2)), ("b", 0.5)],
+        [("a", 0.5), ("b", f(-1, 2))],  # a float before a negative Fraction
+        [("a", sub(1, 2)), ("b", sub(1, 2))],
+        [("a", sub(0)), ("b", sub(1))],
+        [("a", sub(-1, 2)), ("b", f(3, 2))],
+        [("a", f(1, 4)), ("b", sub(0)), ("a", f(3, 4))],
+    ]
+    for _ in range(300):
+        dens = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+        weights = [f(rng.randint(0, 3), d) for d in dens]
+        total = sum(weights)
+        if total and rng.random() < 0.8:
+            weights = [w / total for w in weights]  # sums to 1
+        cases.append([(rng.choice("abcd"), w) for w in weights])
+    for pairs in cases:
+        assert _outcome(from_pairs, pairs) == _outcome(_from_pairs_by_comparison, pairs), pairs
+    valid = sum(not isinstance(_outcome(from_pairs, pairs)[0], tuple) for pairs in cases)
+    assert 200 < valid < len(cases) - 50, valid
 
 
 def test_cached_attr_computes_once_per_instance():

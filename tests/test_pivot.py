@@ -8,6 +8,8 @@ answer.  The consumed tableau is checked as well: after the last pivot it
 must be D times B^-1 [columns | rhs], where B holds the original columns of
 the final basis (unit columns for artificials) and D = det(B) > 0 is the
 last pivot, so every entry is a determinant of the input and stays bounded.
+It picks columns by the loop's rule, and counts the pivots on which the
+rule's two choices differ, so a test can see that both of them run.
 
 The pinned counts are the LPs and pivots of fixed seeded work; any change to
 the pivot path moves them.
@@ -24,7 +26,16 @@ from convexchoice.necset import from_generators, member
 
 
 def _reference_pivot_feasible(tab, n):
-    """(answer, pivots, basis) of the gcd-normalized pivot loop; `tab` is consumed."""
+    """(answer, pivots, basis, rule) of the gcd-normalized pivot loop; `tab` is consumed.
+
+    The entering column has the largest reduced cost until `len(tab)`
+    degenerate pivots (pivot row rhs 0) have run in a row, and the smallest
+    index with a positive one from then until the next nondegenerate pivot.
+    `rule` counts the pivots on which that choice told the two rules apart:
+    "bland", Bland's pick differing from the largest reduced cost, and
+    "reset", a largest-reduced-cost pick after a Bland pivot of the same LP
+    differing from Bland's, which a one-way switch would have taken.
+    """
 
     def eliminate(row, pivot_row, piv, f):
         row = [a * piv - f * b for a, b in zip(row, pivot_row)]
@@ -33,14 +44,19 @@ def _reference_pivot_feasible(tab, n):
 
     obj = [sum(row[j] for row in tab) for j in range(n + 1)]
     basis = list(range(n, n + len(tab)))
-    bland = False
-    pivots = 0
+    stall = pivots = 0
+    rule = {"bland": 0, "reset": 0}
+    after_bland = False
     while obj[-1]:
         enter = max(range(n), key=obj.__getitem__, default=None)
         if enter is None or obj[enter] <= 0:
             break
-        if bland:
-            enter = next(j for j in range(n) if obj[j] > 0)
+        smallest = next(j for j in range(n) if obj[j] > 0)
+        if stall >= len(tab):
+            rule["bland"] += smallest != enter
+            enter, after_bland = smallest, True
+        elif after_bland:
+            rule["reset"] += smallest != enter
         leave = None
         for i, row in enumerate(tab):
             a = row[enter]
@@ -54,14 +70,14 @@ def _reference_pivot_feasible(tab, n):
                         leave = i
         pivot_row = tab[leave]
         piv = pivot_row[enter]
-        bland = bland or not pivot_row[-1]
+        stall = 0 if pivot_row[-1] else stall + 1
         for i, row in enumerate(tab):
             if i != leave and row[enter]:
                 tab[i] = eliminate(row, pivot_row, piv, row[enter])
         obj = eliminate(obj, pivot_row, piv, obj[enter])
         basis[leave] = enter
         pivots += 1
-    return not obj[-1], pivots, basis
+    return not obj[-1], pivots, basis, rule
 
 
 def _reference_simplex_feasible(columns, rhs):
@@ -141,6 +157,15 @@ def _gordan_tableau(rng):
     return [row for row in tab if any(row)] + [[1] * (n + 1)], n
 
 
+def _check_against_reference(tab, n):
+    """`_pivot_feasible` on a copy of `tab` against the reference: (answer, pivots, rule)."""
+    want, want_pivots, basis, rule = _reference_pivot_feasible([row[:] for row in tab], n)
+    final = [row[:] for row in tab]
+    assert _counted(convexgeom._pivot_feasible, final, n) == (want, (1, want_pivots)), (tab, n)
+    _check_common_denominator(tab, final, basis, n)
+    return want, want_pivots, rule
+
+
 def test_pivot_loop_matches_the_gcd_normalized_reference():
     rng = random.Random(12)
     cases = [([], 0), ([], 3), ([[0]], 0), ([[2]], 0), ([[0, 0, 0]], 2), ([[1, 1]], 1)]
@@ -149,15 +174,50 @@ def test_pivot_loop_matches_the_gcd_normalized_reference():
     seen = {"feasible": 0, "infeasible": 0, "degenerate": 0}
     most_pivots = 0
     for tab, n in cases:
-        want, want_pivots, basis = _reference_pivot_feasible([row[:] for row in tab], n)
-        final = [row[:] for row in tab]
-        got, counts = _counted(convexgeom._pivot_feasible, final, n)
-        assert (got, counts) == (want, (1, want_pivots)), (tab, n)
-        _check_common_denominator(tab, final, basis, n)
+        want, want_pivots, _ = _check_against_reference(tab, n)
         seen["feasible" if want else "infeasible"] += 1
         seen["degenerate"] += any(not row[-1] for row in tab) and want_pivots > 0
         most_pivots = max(most_pivots, want_pivots)
     assert min(seen.values()) > 500 and most_pivots >= 8, (seen, most_pivots)
+
+
+def _stalling_tableau(rng):
+    """Mostly rhs-0 rows over more columns, mostly positive: long degenerate runs."""
+    m, n = rng.randint(3, 7), rng.randint(4, 14)
+    return [[rng.randint(-2, 4) for _ in range(n)] + [0 if rng.random() < 0.6 else rng.randint(1, 4)]
+            for _ in range(m)], n
+
+
+def _points_gordan_tableau(rng):
+    """The Gordan system sum_a lambda_a (x_a - x_i) = 0, sum lambda = 1 over seeded points x.
+
+    Half the time x_i is moved to the points' centroid, rounded down, so it
+    is mostly not a vertex and the system mostly feasible.
+    """
+    d = rng.randint(3, 6)
+    points = [[rng.randint(0, 6) for _ in range(d)] for _ in range(rng.randint(6, 14))]
+    i = rng.randrange(len(points))
+    if rng.random() < 0.5:
+        points[i] = [sum(c) // len(points) for c in zip(*points)]
+    columns = [[u - v for u, v in zip(x, points[i])] for a, x in enumerate(points) if a != i]
+    tab = [[*row, 0] for row in zip(*columns) if any(row)]
+    return tab + [[1] * (len(columns) + 1)], len(columns)
+
+
+def test_bland_rule_runs_only_after_a_stall():
+    # long degenerate runs, where the rule picks the entering column: Bland's
+    # pick must differ from the largest reduced cost on some pivots, and the
+    # largest reduced cost, back after a nondegenerate pivot, from Bland's
+    rng = random.Random(30)
+    rule = {"bland": 0, "reset": 0}
+    bland_lps = {_stalling_tableau: 0, _points_gordan_tableau: 0}
+    for _ in range(1200):
+        make = rng.choice([*bland_lps])
+        counts = _check_against_reference(*make(rng))[2]
+        bland_lps[make] += counts["bland"] > 0
+        for k in rule:
+            rule[k] += counts[k]
+    assert min(bland_lps.values()) >= 20 and rule["reset"] >= 10, (bland_lps, rule)
 
 
 def test_simplex_feasible_matches_the_reference_presolve():
@@ -200,7 +260,7 @@ def test_simplex_feasible_on_full_support_right_hand_sides():
 
 def test_law_suite_lp_counts_are_pinned():
     _, counts = _counted(check_all, GenConfig(trials=10, seed=42))
-    assert counts == (567, 2078)
+    assert counts == (567, 1941)
 
 
 def _random_dist(rng, d):
@@ -211,7 +271,7 @@ def _random_dist(rng, d):
 def test_member_lp_counts_on_a_seeded_hull_are_pinned():
     rng = random.Random(5)
     hull, counts = _counted(from_generators, [_random_dist(rng, 8) for _ in range(32)])
-    assert (len(hull.generators), counts) == (31, (13, 124))
+    assert (len(hull.generators), counts) == (31, (13, 114))
     gens = hull.generators
     queries = []
     for q in range(40):
@@ -225,7 +285,7 @@ def test_member_lp_counts_on_a_seeded_hull_are_pinned():
             ))
     answers, counts = _counted(lambda: [member(x, hull) for x in queries])
     assert all(answers[::2]) and sum(answers) == 21
-    assert counts == (32, 315)
+    assert counts == (32, 286)
 
 
 def _beyond(rng, gens):
@@ -242,14 +302,32 @@ def _mixture(rng, picked):
     return from_pairs((k, Fraction(wi, sum(w)) * p) for g, wi in zip(picked, w) for k, p in g.entries)
 
 
-def test_member_lp_counts_on_a_hull_grid_are_pinned():
+def _pivots_per_lp(monkeypatch):
+    """The pivots of each `_pivot_feasible` call from now on, appended to the list returned."""
+    pivot_feasible, per_lp = convexgeom._pivot_feasible, []
+
+    def counted(tab, n):
+        before = stats.counts["pivots"]
+        try:
+            return pivot_feasible(tab, n)
+        finally:
+            per_lp.append(stats.counts["pivots"] - before)
+
+    monkeypatch.setattr(convexgeom, "_pivot_feasible", counted)
+    return per_lp
+
+
+def test_member_lp_counts_on_a_hull_grid_are_pinned(monkeypatch):
     # the shape of the benchmark's hull queries: full-support hulls of n
     # points over d outcomes, half the queries mixtures and half past a vertex
     rng = random.Random(20)
     queries = []
+    build = [0, 0]
+    per_lp = _pivots_per_lp(monkeypatch)
     for n in (8, 16, 32, 64):
         for d in (4, 8):
-            hull = from_generators([_random_dist(rng, d) for _ in range(n)])
+            hull, counts = _counted(from_generators, [_random_dist(rng, d) for _ in range(n)])
+            build = [*map(sum, zip(build, counts))]
             gens = hull.generators
             for q in range(8):
                 inside = q % 2 == 0
@@ -258,6 +336,9 @@ def test_member_lp_counts_on_a_hull_grid_are_pinned():
                 else:
                     x = _beyond(rng, gens)
                 queries.append((x, hull, inside))
+    # with Bland's rule from the first degenerate pivot on, the build took
+    # 956 pivots, and its largest LP 28
+    assert (build, max(per_lp)) == ([134, 904], 17)
     answers, counts = _counted(lambda: [member(x, hull) for x, hull, _ in queries])
     assert answers == [inside for _, _, inside in queries]
     assert counts == (33, 224)
