@@ -7,6 +7,13 @@ and trials could run in any order.  Two negative controls are deliberately
 false laws the harness must refute; they document the rejected
 right-distributivity axioms and establish that the harness can detect a
 false law at these instance sizes.
+
+Draws read the trial RNG's `getrandbits` stream by CPython 3.11's rules,
+implemented once here: `_below(n)` takes `getrandbits(n.bit_length())` again
+while it is >= n, and `_sample` picks from a `range` of at most 21 items by
+swapping its pool.  `gen_dist`, which builds most of every instance, draws
+its support and widths through them in one pass and builds a distribution
+over the carrier straight in normal form.
 """
 
 from __future__ import annotations
@@ -107,53 +114,53 @@ class LawReport:
         return bool(self.failures) == (self.expected == "fail")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw below n > 0 by CPython 3.11's `_randbelow`: `getrandbits(n.bit_length())` again while >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits: Callable[[int], int], population: range, k: int) -> list:
+    """k items of a `range` of at most 21, 0 < k <= its length, by CPython 3.11's pool swap."""
+    pool, result = list(population), []
+    for m in range(len(pool), len(pool) - k, -1):  # the m items not chosen yet are pool[:m]
+        j = _below(getrandbits, m)
+        result.append(pool[j])
+        pool[j] = pool[m - 1]
+    return result
+
+
 class _TrialRandom(random.Random):
     """`random.Random` whose `randint`, `choice` and `sample` read `getrandbits` directly.
 
-    Each draws below n as CPython 3.11's `_randbelow` does, `getrandbits(n.bit_length())`
-    again while the bits are >= n, and `sample` of a `range` swaps its pool as 3.11
-    does for at most 21 items, so every call returns what `random.Random`'s does on
-    the same state.  Anything else (an empty range or sequence, a larger or other
-    population, `counts=`) goes to the base method, so errors are the base's.
-    `random` and `getrandbits` are not overridden: `Random.__init_subclass__` would
-    then switch `_randbelow`.
+    They draw by `_below` and `_sample`, so every call returns what
+    `random.Random`'s does on the same state.  Anything else (an empty range or
+    sequence, a larger or other population, `counts=`) goes to the base method,
+    so errors are the base's.  `random` and `getrandbits` are not overridden:
+    `Random.__init_subclass__` would then switch `_randbelow`.
     """
 
     def randint(self, a: int, b: int) -> int:
         n = b - a + 1
         if type(n) is not int or n <= 0:
             return super().randint(a, b)
-        getrandbits, k = self.getrandbits, n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return a + r
+        return a + _below(self.getrandbits, n)
 
     def choice(self, seq):
         n = len(seq)
         if not n:
             return super().choice(seq)
-        getrandbits, k = self.getrandbits, n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return seq[r]
+        return seq[_below(self.getrandbits, n)]
 
     def sample(self, population, k, *, counts=None):
         if counts is not None or type(population) is not range or type(k) is not int:
             return super().sample(population, k, counts=counts)
-        n = len(population)
-        if not 0 < k <= n <= 21:
+        if not 0 < k <= len(population) <= 21:
             return super().sample(population, k)
-        getrandbits, pool, result = self.getrandbits, list(population), []
-        for m in range(n, n - k, -1):  # the m items not chosen yet are pool[:m]
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            result.append(pool[j])
-            pool[j] = pool[m - 1]
-        return result
+        return _sample(self.getrandbits, population, k)
 
 
 def trial_rng(seed: int, law_name: str, trial: int) -> Rng:
@@ -170,6 +177,7 @@ def trial_rng(seed: int, law_name: str, trial: int) -> Rng:
 # --- instance generators -------------------------------------------------
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
+_SYMBOL_KEYS = tuple(map(outcome_key, _SYMBOLS))
 
 
 def carrier_of(cfg: GenConfig) -> List[str]:
@@ -182,10 +190,19 @@ def gen_prob(rng: Rng, cfg: GenConfig) -> Prob:
 
 
 def _gen_widths(rng: Rng, cfg: GenConfig, size: int) -> List[int]:
-    # positive integers summing to a denominator <= max_denominator
-    den = rng.randint(size, cfg.max_denominator) if size <= cfg.max_denominator else size
-    cuts = sorted(rng.sample(range(1, den), size - 1)) if size > 1 else []
-    bounds = [0] + cuts + [den]
+    """`size` positive integers whose sum, `den`, is at most `max_denominator`.
+
+    They take the bits of `randint(size, max_denominator)` for `den` and then,
+    past one width, of `sorted(sample(range(1, den), size - 1))` for the cuts.
+    """
+    max_den = cfg.max_denominator
+    if not 0 < size <= max_den:
+        raise ValueError(f"{size} positive widths cannot sum to at most {max_den}")
+    getrandbits = rng.getrandbits
+    den = size + _below(getrandbits, max_den - size + 1)
+    if size == 1:
+        return [den]
+    bounds = [0, *sorted(_sample(getrandbits, range(1, den), size - 1)), den]
     return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
@@ -195,12 +212,29 @@ def gen_dist(
     keys: Optional[Sequence[object]] = None,
     max_support: Optional[int] = None,
 ) -> Dist:
-    pool = list(keys) if keys is not None else carrier_of(cfg)
-    cap = min(max_support or cfg.max_support, len(pool), cfg.max_denominator)
-    size = rng.randint(1, cap)
-    support = rng.sample(range(len(pool)), size)
+    """A distribution over 1 to `max_support` items of `keys`, by default the carrier.
+
+    It reads the bits of `randint(1, cap)`, `sample(range(len(pool)), size)`
+    and `_gen_widths`, in that order, in one pass through `_below` and
+    `_sample` (`rng.sample` past 21 items).  Over the carrier, whose symbols
+    are distinct and in key order, it is built sorted by symbol, with `okeys`
+    from `_SYMBOL_KEYS` and `den` the sum of its widths; a `keys` pool, whose
+    values may be equal, goes through `_normalized`.
+    """
+    n = cfg.carrier_size if keys is None else len(keys)
+    cap = min(max_support or cfg.max_support, n, cfg.max_denominator)
+    if cap < 1:
+        raise ValueError("gen_dist needs a nonempty pool and a positive max_support")
+    getrandbits = rng.getrandbits
+    size = 1 + _below(getrandbits, cap)
+    support = _sample(getrandbits, range(n), size) if n <= 21 else rng.sample(range(n), size)
     widths = _gen_widths(rng, cfg, size)
-    return _normalized((outcome_key(pool[i]), pool[i], w) for i, w in zip(support, widths))
+    if keys is not None:
+        return _normalized((outcome_key(keys[i]), keys[i], w) for i, w in zip(support, widths))
+    pairs = sorted(zip(support, widths))
+    d = Dist(tuple([_SYMBOLS[i] for i, _ in pairs]), [w for _, w in pairs], sum(widths))
+    d.__dict__["okeys"] = tuple([_SYMBOL_KEYS[i] for i, _ in pairs])
+    return d
 
 
 def gen_gcm(

@@ -275,7 +275,7 @@ class _Parser:
             return int(text)
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            msg = f"integer literal of {len(text)} digits, over the limit of {limit}"
+            msg = f"integer literal of {len(text.lstrip('-'))} digits, over the limit of {limit}"
             raise SourceError("syntax", *self.poss[i], msg) from None
 
     def open_paren(self) -> None:

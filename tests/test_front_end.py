@@ -136,7 +136,7 @@ class _Parser:
             return int(tok.text)
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            msg = f"integer literal of {len(tok.text)} digits, over the limit of {limit}"
+            msg = f"integer literal of {len(tok.text.lstrip('-'))} digits, over the limit of {limit}"
             raise SourceError("syntax", tok.pos[0], tok.pos[1], msg) from None
 
     def open_paren(self) -> None:

@@ -11,6 +11,8 @@ from convexchoice.laws import (
     GenConfig,
     LawReport,
     REGISTRY,
+    _below,
+    _sample,
     carrier_of,
     check_all,
     check_law,
@@ -25,7 +27,7 @@ from convexchoice.laws import (
     trial_rng,
 )
 from convexchoice.necset import from_generators
-from convexchoice.dist import point
+from convexchoice.dist import _normalized, outcome_key, point
 from convexchoice.prob import prob_make
 from convexchoice.programs import bcoin
 
@@ -151,6 +153,63 @@ def test_trial_rng_empty_draws_raise_as_random_does():
             assert got is not None and got == _raised(lambda: call(base))
         assert rng.sample(range(0), 0) == base.sample(range(0), 0) == []
     assert rng.getstate() == base.getstate()
+
+
+def _reference_gen_dist(rng, cfg, keys=None, max_support=None):
+    """`gen_dist` drawn by `random.Random`'s own methods and built by `_normalized`."""
+    pool = list(keys) if keys is not None else carrier_of(cfg)
+    cap = min(max_support or cfg.max_support, len(pool), cfg.max_denominator)
+    size = rng.randint(1, cap)
+    support = rng.sample(range(len(pool)), size)
+    den = rng.randint(size, cfg.max_denominator)
+    bounds = [0, *sorted(rng.sample(range(1, den), size - 1)), den]
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
+    return _normalized((outcome_key(pool[i]), pool[i], w) for i, w in zip(support, widths))
+
+
+# the carrier; one key; equal values (1 twice, and True, which is not 1); nested
+# values, one of them twice; and pools past the 21 items `_sample` takes
+_POOLS = [
+    None,
+    ["a"],
+    ["c", 1, "a", True, 1, 0],
+    [point("b"), point(2), point("b"), from_generators([point("a"), point(True)])],
+    list(range(22)),
+    [f"s{i}" for i in range(30, 0, -1)],
+]
+
+
+@pytest.mark.parametrize("keys", _POOLS, ids=["carrier", "one", "equal", "nested", "22", "30"])
+def test_gen_dist_draws_and_builds_as_the_reference(keys):
+    cfg = GenConfig(trials=1)
+    for max_support in (None, 1, 2, 3, 4):
+        for seed in range(150):
+            rng, base = _pair(seed)
+            got = gen_dist(rng, cfg, keys=keys, max_support=max_support)
+            want = _reference_gen_dist(base, cfg, keys=keys, max_support=max_support)
+            assert got == want and got.okeys == want.okeys, (seed, max_support)
+            assert (got.outcomes, got.nums, got.den) == (want.outcomes, want.nums, want.den)
+            assert rng.getstate() == base.getstate(), (seed, max_support)
+            validate_dist(got)
+
+
+def test_gen_dist_from_an_empty_pool_raises():
+    with time_budget(5, "a draw below 0"):  # getrandbits(0) is always 0
+        with pytest.raises(ValueError):
+            gen_dist(trial_rng(0, "empty", 0), GenConfig(trials=1), keys=[])
+
+
+def test_draw_helpers_match_random():
+    for seed in range(40):
+        rng, base = _pair(seed)
+        getrandbits = rng.getrandbits
+        for n in (1, 2, 3, 4, 5, 8, 12, 16, 21, 22, 33, 64):
+            assert _below(getrandbits, n) == base.randrange(n), (seed, n)
+        for n in (1, 2, 3, 4, 7, 11, 16, 21):
+            for k in range(1, n + 1):
+                population = range(-1, n - 1)
+                assert _sample(getrandbits, population, k) == base.sample(population, k), (seed, n, k)
+        assert rng.getstate() == base.getstate()
 
 
 def test_trial_instances_depend_on_seed_law_and_trial_alone():

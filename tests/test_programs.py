@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +175,15 @@ def test_parse_overlong_integer_literals():
         assert exc.value.kind == "syntax"
         assert (exc.value.line, exc.value.column) == (1, source.index(digits) + 1)
         assert "5000 digits" in exc.value.message
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_overlong_integer_literal_counts_digits_not_the_sign(sign):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SourceError) as exc:
+        parse(f"ret {sign}{digits}")
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    assert exc.value.message.startswith(f"integer literal of {len(digits)} digits,")
 
 
 def test_parse_error_quotes_a_long_token_cut():
