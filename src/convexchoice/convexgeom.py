@@ -2,13 +2,16 @@
 
 All membership work reads one integer form of a generator list (`HullForm`):
 an index of the supported outcomes and their rows of integer weights over one
-common scale, built in one pass, and lazily the generators' columns and the
-functional ranges.  A membership query maps the point into that index and
-answers with no LP in three cases: False when the point has weight on an
-outcome no generator has, True when its row equals a generator's column, and
-False when its value on a coordinate, or on a difference of two
+common scale, built in one pass, and lazily the generators' columns, the
+functional ranges and a crash basis.  A membership query maps the point into
+that index and answers with no LP in four cases: False when the point has
+weight on an outcome no generator has, True when its row equals a generator's
+column, False when its value on a coordinate, or on a difference of two
 (`_functionals`), lies outside the range that functional spans over the
-generators (kept once per form, compared as integers).  Otherwise it runs a
+generators (kept once per form, compared as integers), and True when the
+point has positive weight on every outcome and is a nonnegative combination
+of the d columns of the form's crash basis (`HullForm.crash`, chosen once per
+form; one exact d^2 back-substitution per point, `_carry`).  Otherwise it runs a
 phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
 presolve, no artificial columns, the largest reduced cost except after as
 many degenerate pivots in a row as rows, when Bland's rule picks until the
@@ -50,6 +53,8 @@ from . import stats
 from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
 
 C = TypeVar("C")
+# A crash basis: (basis, records, den), see `HullForm.crash`.
+Crash = Tuple[Tuple[int, ...], List[Tuple[int, int, List[int]]], int]
 
 
 class ConvexInstance:
@@ -150,8 +155,10 @@ class HullForm:
     the supported outcomes in first-seen order, and `rows` is `(scale, rows)`
     with row r holding each generator's weight on outcome r times `scale`,
     the lcm of the `den`s, so all are integers.  Built on first use: `columns`
-    (each generator's `_int_coords`), `column_set` for lookup, and `ranges`
-    (the span of each of `_functionals`).  Nothing changes after it is built.
+    (each generator's `_int_coords`), `column_set` for lookup, `ranges`
+    (the span of each of `_functionals`), and `crash` (d generators whose
+    columns span the form, with the pivots that invert them).  Nothing
+    changes after it is built.
     """
 
     def __init__(self, generators: Sequence[Dist]) -> None:
@@ -184,11 +191,54 @@ class HullForm:
         values = list(_functionals(rows, _row_sub))
         return scale, tuple(map(min, values)), tuple(map(max, values))
 
+    @cached_attr
+    def crash(self) -> Optional[Crash]:
+        """`(basis, records, den)`: d generators whose columns span the form, or None.
+
+        A crash basis (Bixby, ORSA J. Computing 4, 1992), chosen once per form.
+        For each outcome r in index order, it takes the generator with the
+        greatest weight on r (common-scale rows, ties to the lower index)
+        among those with a nonzero entry in row r of the columns pivoted so
+        far, and pivots it in at row r with `_pivot_feasible`'s
+        integer-preserving step; either sign may pivot.  Row r's pivoted
+        entries are 0 on the generators already taken, so none is taken
+        twice, and when they are all 0, row r depends on the rows before it:
+        the columns have rank below d, and the form gets None.
+
+        `basis[r]` is the generator pivoted in at row r, and `records[r]` is
+        `(piv, den, col)`: the pivot, the denominator before it, and the
+        pivot column's entries in every row just before it, all `_carry`
+        needs.  `den` is the last pivot, det(B) for B the basis columns in
+        basis order; it may be negative.  Built on the first query that asks
+        for it.
+        """
+        tab = [list(r) for r in zip(*self.columns)]
+        weights = self.rows[1]
+        basis: List[int] = []
+        records = []
+        den = 1
+        for r, pivot_row in enumerate(tab):
+            w = weights[r]
+            enter = max((j for j, a in enumerate(pivot_row) if a), key=w.__getitem__, default=None)
+            if enter is None:
+                return None
+            piv = pivot_row[enter]
+            records.append((piv, den, [row[enter] for row in tab]))
+            for i, row in enumerate(tab):
+                if i != r:
+                    f = row[enter]
+                    tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
+            basis.append(enter)
+            den = piv
+        return tuple(basis), records, den
+
     def contains(self, x: Dist) -> bool:
         """Exact test for x in the hull, with an LP only when no shortcut answers.
 
         No LP when x has weight where no generator has, is a generator, or
-        leaves the range of one of `_functionals`, coordinates first.
+        leaves the range of one of `_functionals`, coordinates first.  Nor
+        when x has positive weight on every indexed outcome and `_carry`
+        writes it as a nonnegative combination of the `crash` basis columns.
         """
         row = _int_coords(x, self.index)
         if row is None:
@@ -202,9 +252,33 @@ class HullForm:
         for v, lo, hi in zip(_functionals(row, sub), low, high):
             if not lo * total <= v * scale <= hi * total:
                 return False
+        # A point with a zero weight goes straight to the simplex, whose
+        # presolve drops that row and every column with weight on it.
+        if all(row):
+            crash = self.crash
+            if crash is not None and min(_carry(crash, row)) >= 0:
+                return True  # x is a nonnegative combination of the basis columns
         # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
         # coordinate rows and needs no row of its own.
         return _simplex_feasible(self.columns, row)
+
+
+def _carry(crash: Crash, rhs: Sequence[int]) -> List[int]:
+    """`rhs` carried through a `HullForm.crash` basis's pivots: |den| B^-1 rhs, in d^2 exact steps.
+
+    Entry r over |den| is the coefficient of column `basis[r]` in the unique
+    combination of the basis columns B that equals `rhs`.  Each record is
+    the step `_pivot_feasible` makes on the right-hand side column: every
+    entry but the pivot row's becomes (v * piv - f * v_r) // den, and the
+    pivot row's stays.  The last step leaves den B^-1 rhs, negated at the end
+    when den < 0 so that every sign reads as over a positive denominator.
+    """
+    _, records, den = crash
+    for r, (piv, prev, col) in enumerate(records):
+        v_r = rhs[r]
+        rhs = [(v * piv - f * v_r) // prev for v, f in zip(rhs, col)]
+        rhs[r] = v_r
+    return rhs if den > 0 else [-v for v in rhs]
 
 
 def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
@@ -381,9 +455,11 @@ def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
     """Exact test for x in hull(generators), on a form built for this one query.
 
     The answer comes from `HullForm.contains`, with no LP when x has weight on
-    an outcome no generator has, equals a generator, or lies outside a
-    functional's range.  A `NECSet` keeps its form instead, so
-    `necset.member` builds it once per set.
+    an outcome no generator has, equals a generator, lies outside a
+    functional's range, or has positive weight everywhere and a nonnegative
+    combination of the crash basis columns (built for this query too).  A
+    `NECSet` keeps its form instead, so `necset.member` builds the form and
+    its crash basis once per set.
     """
     if not generators:
         raise ValueError("empty generator list")

@@ -89,9 +89,12 @@ def member(d: Dist, x: NECSet) -> bool:
 
     The form is built on the first query (see `NECSet.hull_form`).  No LP runs
     when `d` has weight on an outcome no generator has (False), equals a
-    generator (True), or lies outside the range of a coordinate or of a
-    difference of two over the generators (False); otherwise one simplex runs
-    over the kept columns, which it does not change.
+    generator (True), lies outside the range of a coordinate or of a
+    difference of two over the generators (False), or has positive weight on
+    every outcome and is a nonnegative combination of the form's crash basis
+    columns (True; see `HullForm.crash`, built on the first query that needs
+    it); otherwise one simplex runs over the kept columns, which it does not
+    change.
     """
     return x.hull_form.contains(d)
 

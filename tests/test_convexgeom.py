@@ -557,7 +557,8 @@ def test_member_beyond_a_coordinate_range_needs_no_lp():
         (d_of(("a", 3, 4), ("b", 1, 4)), False, 0),  # a above its range
         (d_of(("a", 2, 5), ("b", 1, 5), ("c", 2, 5)), False, 0),  # b below its range
         (d_of(("a", 1, 2), ("b", 1, 4), ("c", 1, 4)), False, 0),  # a - b above [-1/2, 0]
-        (d_of(("a", 1, 4), ("b", 5, 12), ("c", 1, 3)), True, 1),  # the centre
+        # the centre: the three columns are the crash basis, so no LP either
+        (d_of(("a", 1, 4), ("b", 5, 12), ("c", 1, 3)), True, 0),
     ]
     for x, want, lps in cases:
         assert _lp_calls(member, x, hull) == (want, lps), x
