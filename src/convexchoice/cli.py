@@ -56,7 +56,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check_laws(args: argparse.Namespace) -> int:
     # imported here, so that the other commands never load the law suite
-    from .laws import GenConfig, check_all, check_law, law_names, render_report, run_trial
+    from .laws import REGISTRY, GenConfig, check_all, check_law, render_report, run_trial
 
     try:
         config = GenConfig(trials=args.trials, seed=args.seed)
@@ -67,7 +67,7 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
         print("error: --trial takes a trial number >= 0 and needs --law", file=sys.stderr)
         return 1
     if args.law is not None:
-        if args.law not in law_names():
+        if args.law not in REGISTRY:
             print(f"error: unknown law {args.law!r}", file=sys.stderr)
             return 1
         if args.trial is not None:

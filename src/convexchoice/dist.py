@@ -82,15 +82,13 @@ class Keyed:
 
     A subclass passes its `tag` and defines `==`, `<` and `__hash__` on its
     own integer form, so keys of nested values compare through those
-    methods; `>`, `<=` and `>=` follow here from `<`, which is a total order.
+    methods.  `<=` and `>=` follow here from `<`, which is a total order;
+    Python answers `a > b` with the reflected `b < a`.
     """
 
     def __init_subclass__(cls, tag: int, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         _KEY_OF_TYPE[cls] = lambda x: (tag, x)
-
-    def __gt__(self, other: "Keyed") -> bool:
-        return other < self
 
     def __le__(self, other: "Keyed") -> bool:
         return not other < self

@@ -1,12 +1,20 @@
 """Law registry and randomized checking harness.
 
-Every algebraic law of the package has a named entry here.  A check runs a
-configured number of independent trials; each trial derives its own RNG
-purely from (seed, law name, trial index), so reports are deterministic
-and trials could run in any order.  Two negative controls are deliberately
-false laws the harness must refute; they document the rejected
-right-distributivity axioms and establish that the harness can detect a
-false law at these instance sizes.
+`REGISTRY` is the one table of laws, in the order they are checked.  An
+equation is written as data by `_equation`: a draw `(rng, cfg) -> {name:
+input}` and its sides `(**inputs) -> (lhs, rhs)`; its counterexample shows
+the inputs in draw order, then `lhs` and `rhs`.  A law whose counterexample
+shows anything else is a predicate `(rng, cfg) -> Optional[str]`.  To add a
+law, add its entry to the table: a draw lists its inputs in the order they
+read the RNG, and sides that use a value twice bind it once, in a named
+function.
+
+A check runs a configured number of independent trials; each trial derives
+its own RNG purely from (seed, law name, trial index), so reports are
+deterministic and trials could run in any order.  Two negative controls are
+deliberately false laws the harness must refute; they document the
+rejected right-distributivity axioms and establish that the harness can
+detect a false law at these instance sizes.
 
 Draws read the trial RNG's `getrandbits` stream by CPython 3.11's rules,
 implemented once here: `_below(n)` takes `getrandbits(n.bit_length())` again
@@ -23,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .convexgeom import (
     DIST_INSTANCE,
@@ -65,6 +73,7 @@ from .necset import (
     member,
 )
 from .prob import Prob, complement, r_of, s_of
+from .programs import arbitrary
 
 Rng = random.Random
 
@@ -95,6 +104,8 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class LawCase:
+    """A registered law; `checker` runs one trial and returns its rendered counterexample or None."""
+
     name: str
     expected: str  # "pass" | "fail" (negative control)
     checker: Callable[[Rng, GenConfig], Optional[str]]
@@ -311,8 +322,65 @@ def _eq_or_ce(lhs, rhs, **inputs) -> Optional[str]:
     return _ce(**inputs, lhs=lhs, rhs=rhs)
 
 
-# --- law checkers ---------------------------------------------------------
-# prob / dist level
+# --- laws -----------------------------------------------------------------
+
+
+def _equation(
+    name: str,
+    expected: str,
+    description: str,
+    draw: Callable[[Rng, GenConfig], Dict[str, object]],
+    sides: Callable[..., Tuple[object, object]],
+) -> LawCase:
+    """The law `lhs == rhs` for `lhs, rhs = sides(**draw(rng, cfg))`, shown with the inputs when false."""
+
+    def check(rng: Rng, cfg: GenConfig) -> Optional[str]:
+        inputs = draw(rng, cfg)
+        return _eq_or_ce(*sides(**inputs), **inputs)
+
+    return LawCase(name, expected, check, description)
+
+
+def _registry(*cases: LawCase) -> Dict[str, LawCase]:
+    """The cases by name, in the order given; a name given twice is a ValueError."""
+    registry: Dict[str, LawCase] = {}
+    for case in cases:
+        if case.name in registry:
+            raise ValueError(f"law name {case.name!r} is registered twice")
+        registry[case.name] = case
+    return registry
+
+
+def _gen_dist_table(rng: Rng, cfg: GenConfig) -> Dict[str, Dist]:
+    """A distribution for each carrier symbol: an arrow of the distribution monad."""
+    return {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
+
+
+def _gen_generators(rng: Rng, cfg: GenConfig) -> List[Dist]:
+    return [gen_dist(rng, cfg) for _ in range(rng.randint(1, cfg.max_generators + 2))]
+
+
+def _gen_family(rng: Rng, cfg: GenConfig, most: int) -> List[GcmVal]:
+    return [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, most))]
+
+
+def _gen_small(rng: Rng, cfg: GenConfig) -> GcmVal:
+    """A value of at most two generators over at most three outcomes, for the laws that bind."""
+    return gen_gcm(rng, cfg, max_generators=2, max_support=3)
+
+
+def _gen_small_kleisli(rng: Rng, cfg: GenConfig, max_support: int) -> Dict[str, GcmVal]:
+    return gen_kleisli(rng, cfg, max_generators=2, max_support=max_support)
+
+
+def _gen_rationals(rng: Rng, cfg: GenConfig) -> List[Fraction]:
+    bound = cfg.max_denominator
+    return [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(rng.randint(1, 4))]
+
+
+def _gen_weights(rng: Rng, cfg: GenConfig, n: int) -> Dist:
+    """Mixing weights on the indices 0 .. n-1."""
+    return gen_dist(rng, cfg, keys=range(n), max_support=n)
 
 
 def _law_prob_rs(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -322,51 +390,6 @@ def _law_prob_rs(rng: Rng, cfg: GenConfig) -> Optional[str]:
     if s.value != 0:
         ok = ok and r.value * s.value == p.value
     return None if ok else _ce(p=p, q=q, r=r, s=s)
-
-
-def _law_dist_map_affine(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    d1, d2 = gen_dist(rng, cfg), gen_dist(rng, cfg)
-    table = gen_function(rng, cfg)
-    f = table.__getitem__
-    lhs = map_dist(f, conv_dist(p, d1, d2))
-    rhs = conv_dist(p, map_dist(f, d1), map_dist(f, d2))
-    return _eq_or_ce(lhs, rhs, p=p, d1=d1, d2=d2, f=table)
-
-
-def _law_dist_bindretf(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    a = rng.choice(carrier_of(cfg))
-    table = {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
-    return _eq_or_ce(bind_dist(point(a), table.__getitem__), table[a], a=a, k=table)
-
-
-def _law_dist_bindmret(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    d = gen_dist(rng, cfg)
-    return _eq_or_ce(bind_dist(d, point), d, d=d)
-
-
-def _law_dist_bindA(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    d = gen_dist(rng, cfg)
-    k1 = {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
-    k2 = {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
-    lhs = bind_dist(bind_dist(d, k1.__getitem__), k2.__getitem__)
-    rhs = bind_dist(d, lambda a: bind_dist(k1[a], k2.__getitem__))
-    return _eq_or_ce(lhs, rhs, d=d, k1=k1, k2=k2)
-
-
-def _law_dist_bindDl(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    d1, d2 = gen_dist(rng, cfg), gen_dist(rng, cfg)
-    table = {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
-    k = table.__getitem__
-    lhs = bind_dist(conv_dist(p, d1, d2), k)
-    rhs = conv_dist(p, bind_dist(d1, k), bind_dist(d2, k))
-    return _eq_or_ce(lhs, rhs, p=p, d1=d1, d2=d2, k=table)
-
-
-def _law_dist_flatten(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    d = gen_dist(rng, cfg)
-    return _eq_or_ce(barycenter(map_dist(point, d), DIST_INSTANCE), d, d=d)
 
 
 def _law_dist_order_total(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -385,53 +408,30 @@ def _law_dist_order_total(rng: Rng, cfg: GenConfig) -> Optional[str]:
     return None
 
 
-def _law_barycenter_bind(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    d = gen_dist(rng, cfg)
-    table = {c: gen_dist(rng, cfg) for c in carrier_of(cfg)}
-    lhs = barycenter(map_dist(table.__getitem__, d), DIST_INSTANCE)
-    rhs = bind_dist(d, table.__getitem__)
-    return _eq_or_ce(lhs, rhs, d=d, k=table)
+def _convn_perm_draw(gen_points: Callable[[Rng, GenConfig], list]):
+    """Points, mixing weights on their indices, and a permutation of the indices."""
+
+    def draw(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
+        points = gen_points(rng, cfg)
+        weights = _gen_weights(rng, cfg, len(points))
+        perm = list(range(len(points)))
+        rng.shuffle(perm)
+        return {"weights": weights, "points": points, "perm": perm}
+
+    return draw
 
 
-def _convn_perm_check(rng: Rng, cfg: GenConfig, points: list, inst) -> Optional[str]:
-    n = len(points)
-    size = rng.randint(1, n)
-    support = rng.sample(range(n), size)
-    weights = _normalized((outcome_key(i), i, w) for i, w in zip(support, _gen_widths(rng, cfg, size)))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    permuted_points = [None] * n
-    for i, v in enumerate(points):
-        permuted_points[perm[i]] = v
-    permuted_weights = map_dist(perm.__getitem__, weights)
-    lhs = convn(weights, points, inst)
-    rhs = convn(permuted_weights, permuted_points, inst)
-    return _eq_or_ce(lhs, rhs, weights=weights, points=points, perm=perm)
+def _convn_perm_sides(inst):
+    """The points mixed, and mixed again with points and weights moved by the permutation."""
 
+    def sides(weights: Dist, points: list, perm: List[int]) -> tuple:
+        permuted_points = [None] * len(points)
+        for i, v in enumerate(points):
+            permuted_points[perm[i]] = v
+        permuted_weights = map_dist(perm.__getitem__, weights)
+        return convn(weights, points, inst), convn(permuted_weights, permuted_points, inst)
 
-def _law_convn_perm_rat(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    n = rng.randint(1, 4)
-    pts = [
-        Fraction(rng.randint(-cfg.max_denominator, cfg.max_denominator), rng.randint(1, cfg.max_denominator))
-        for _ in range(n)
-    ]
-    return _convn_perm_check(rng, cfg, pts, RAT_INSTANCE)
-
-
-def _law_convn_perm_dist(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    pts = [gen_dist(rng, cfg) for _ in range(rng.randint(1, 4))]
-    return _convn_perm_check(rng, cfg, pts, DIST_INSTANCE)
-
-
-def _law_convn_perm_necset(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    pts = [
-        gen_gcm(rng, cfg, max_generators=2, max_support=2)
-        for _ in range(rng.randint(1, 3))
-    ]
-    return _convn_perm_check(rng, cfg, pts, NECSET_INSTANCE)
-
-
-# convex geometry level
+    return sides
 
 
 def _gen_hull_instance(rng: Rng, cfg: GenConfig, max_gens: int):
@@ -451,10 +451,9 @@ def _law_hull_oracle_agree(rng: Rng, cfg: GenConfig) -> Optional[str]:
     return _ce(x=x, generators=gens, simplex=lp, oracle=oracle)
 
 
-def _law_canonicalize_idempotent(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    gens = [gen_dist(rng, cfg) for _ in range(rng.randint(1, cfg.max_generators + 2))]
-    once = canonicalize(gens)
-    return _eq_or_ce(canonicalize(once), once, generators=gens)
+def _canonicalize_twice(generators: List[Dist]) -> tuple:
+    once = canonicalize(generators)
+    return canonicalize(once), once
 
 
 def _law_canonicalize_hull_preserved(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -467,58 +466,16 @@ def _law_canonicalize_hull_preserved(rng: Rng, cfg: GenConfig) -> Optional[str]:
 
 
 def _law_canonicalize_order_independent(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    gens = [gen_dist(rng, cfg) for _ in range(rng.randint(1, cfg.max_generators + 2))]
+    gens = _gen_generators(rng, cfg)
     shuffled = gens[:]
     rng.shuffle(shuffled)
     return _eq_or_ce(canonicalize(shuffled), canonicalize(gens), generators=gens)
 
 
-def _law_affine_image_hull(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    gens = [gen_dist(rng, cfg) for _ in range(rng.randint(1, cfg.max_generators + 2))]
-    table = gen_function(rng, cfg)
-    f = table.__getitem__
-    lhs = canonicalize([map_dist(f, g) for g in gens])
-    rhs = canonicalize([map_dist(f, g) for g in canonicalize(gens)])
-    return _eq_or_ce(lhs, rhs, generators=gens, f=table)
-
-
-# necset level
-
-
-def _law_lub_singleton(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x = gen_gcm(rng, cfg)
-    return _eq_or_ce(lub_necset([x]), x, x=x)
-
-
-def _law_lub_flatten(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    families = [
-        [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, 2))]
-        for _ in range(rng.randint(1, 3))
-    ]
-    flat = [x for fam in families for x in fam]
-    lhs = lub_necset(flat)
-    rhs = lub_necset([lub_necset(fam) for fam in families])
-    return _eq_or_ce(lhs, rhs, families=families)
-
-
-def _law_conv_lub_distr(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    x = gen_gcm(rng, cfg, max_generators=2)
-    family = [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, 3))]
-    lhs = conv_necset(p, x, lub_necset(family))
-    rhs = lub_necset([conv_necset(p, x, y) for y in family])
-    return _eq_or_ce(lhs, rhs, p=p, x=x, family=family)
-
-
-def _law_lub_op_hull(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    family = [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, 3))]
-    size = rng.randint(1, len(family))
-    support = rng.sample(range(len(family)), size)
-    weights = _normalized((outcome_key(i), i, w) for i, w in zip(support, _gen_widths(rng, cfg, size)))
-    y = convn(weights, family, NECSET_INSTANCE)
-    lhs = lub_necset(family + [y])
-    rhs = lub_necset(family)
-    return _eq_or_ce(lhs, rhs, family=family, weights=weights, mixture=y)
+def _draw_lub_op_hull(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
+    family = _gen_family(rng, cfg, 3)
+    weights = _gen_weights(rng, cfg, len(family))
+    return {"family": family, "weights": weights, "mixture": convn(weights, family, NECSET_INSTANCE)}
 
 
 def _law_necset_eq_extensional(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -530,13 +487,6 @@ def _law_necset_eq_extensional(rng: Rng, cfg: GenConfig) -> Optional[str]:
     if (x == y) == mutual:
         return None
     return _ce(x=x, y=y, structural=(x == y), extensional=mutual)
-
-
-def _law_lub_fold(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    family = [gen_gcm(rng, cfg, max_generators=2) for _ in range(rng.randint(1, 4))]
-    lhs = lub_necset(family)
-    rhs = reduce(alt_necset, family)
-    return _eq_or_ce(lhs, rhs, family=family)
 
 
 def _law_member_convex(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -552,132 +502,10 @@ def _law_member_convex(rng: Rng, cfg: GenConfig) -> Optional[str]:
     return _ce(x=x, p=p, u=u, v=v, mixture=mix)
 
 
-# gcm level
-
-
-def _law_bindretf(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    a = rng.choice(carrier_of(cfg))
-    k = gen_kleisli(rng, cfg)
-    return _eq_or_ce(bind_gcm(ret_gcm(a), k.__getitem__), k[a], a=a, k=k)
-
-
-def _law_bindmret(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg)
-    return _eq_or_ce(bind_gcm(m, ret_gcm), m, m=m)
-
-
-def _law_bindA(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k1 = gen_kleisli(rng, cfg, max_generators=2, max_support=3)
-    k2 = gen_kleisli(rng, cfg, max_generators=2, max_support=3)
-    lhs = bind_gcm(bind_gcm(m, k1.__getitem__), k2.__getitem__)
-    rhs = bind_gcm(m, lambda a: bind_gcm(k1[a], k2.__getitem__))
-    return _eq_or_ce(lhs, rhs, m=m, k1=k1, k2=k2)
-
-
-def _law_choice0(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, y = gen_gcm(rng, cfg), gen_gcm(rng, cfg)
-    return _eq_or_ce(choice_gcm(Prob(Fraction(0)), x, y), y, x=x, y=y)
-
-
-def _law_choice1(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, y = gen_gcm(rng, cfg), gen_gcm(rng, cfg)
-    return _eq_or_ce(choice_gcm(Prob(Fraction(1)), x, y), x, x=x, y=y)
-
-
-def _law_choiceC(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    x, y = gen_gcm(rng, cfg), gen_gcm(rng, cfg)
-    lhs = choice_gcm(p, x, y)
-    rhs = choice_gcm(complement(p), y, x)
-    return _eq_or_ce(lhs, rhs, p=p, x=x, y=y)
-
-
-def _law_choicemm(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    x = gen_gcm(rng, cfg)
-    return _eq_or_ce(choice_gcm(p, x, x), x, p=p, x=x)
-
-
-def _law_choiceA(rng: Rng, cfg: GenConfig) -> Optional[str]:
+def _draw_choiceA(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
     p, q = gen_prob(rng, cfg), gen_prob(rng, cfg)
-    r, s = r_of(p, q), s_of(p, q)
-    x = gen_gcm(rng, cfg, max_generators=2)
-    y = gen_gcm(rng, cfg, max_generators=2)
-    z = gen_gcm(rng, cfg, max_generators=2)
-    lhs = choice_gcm(p, x, choice_gcm(q, y, z))
-    rhs = choice_gcm(s, choice_gcm(r, x, y), z)
-    return _eq_or_ce(lhs, rhs, p=p, q=q, r=r, s=s, x=x, y=y, z=z)
-
-
-def _law_prob_bindDl(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    m1 = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    m2 = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k = gen_kleisli(rng, cfg, max_generators=2, max_support=3)
-    lhs = bind_gcm(choice_gcm(p, m1, m2), k.__getitem__)
-    rhs = choice_gcm(p, bind_gcm(m1, k.__getitem__), bind_gcm(m2, k.__getitem__))
-    return _eq_or_ce(lhs, rhs, p=p, m1=m1, m2=m2, k=k)
-
-
-def _law_altA(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, y, z = (gen_gcm(rng, cfg) for _ in range(3))
-    lhs = alt_gcm(x, alt_gcm(y, z))
-    rhs = alt_gcm(alt_gcm(x, y), z)
-    return _eq_or_ce(lhs, rhs, x=x, y=y, z=z)
-
-
-def _law_alt_bindDl(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m1 = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    m2 = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k = gen_kleisli(rng, cfg, max_generators=2, max_support=3)
-    lhs = bind_gcm(alt_gcm(m1, m2), k.__getitem__)
-    rhs = alt_gcm(bind_gcm(m1, k.__getitem__), bind_gcm(m2, k.__getitem__))
-    return _eq_or_ce(lhs, rhs, m1=m1, m2=m2, k=k)
-
-
-def _law_altmm(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x = gen_gcm(rng, cfg)
-    return _eq_or_ce(alt_gcm(x, x), x, x=x)
-
-
-def _law_altC(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, y = gen_gcm(rng, cfg), gen_gcm(rng, cfg)
-    return _eq_or_ce(alt_gcm(x, y), alt_gcm(y, x), x=x, y=y)
-
-
-def _law_choicealtDr(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
     x, y, z = (gen_gcm(rng, cfg, max_generators=2) for _ in range(3))
-    lhs = choice_gcm(p, x, alt_gcm(y, z))
-    rhs = alt_gcm(choice_gcm(p, x, y), choice_gcm(p, x, z))
-    return _eq_or_ce(lhs, rhs, p=p, x=x, y=y, z=z)
-
-
-def _law_join_ret(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg)
-    return _eq_or_ce(join_gcm(ret_gcm(m)), m, m=m)
-
-
-def _law_join_map_ret(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg)
-    return _eq_or_ce(join_gcm(map_gcm(ret_gcm, m)), m, m=m)
-
-
-def _law_join_naturality(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    mm = _gen_nested(rng, cfg)
-    table = gen_function(rng, cfg)
-    f = table.__getitem__
-    lhs = map_gcm(f, join_gcm(mm))
-    rhs = join_gcm(map_gcm(lambda inner: map_gcm(f, inner), mm))
-    return _eq_or_ce(lhs, rhs, mm=mm, f=table)
-
-
-def _law_join_join(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    mmm = _gen_nested2(rng, cfg)
-    lhs = join_gcm(map_gcm(join_gcm, mmm))
-    rhs = join_gcm(join_gcm(mmm))
-    return _eq_or_ce(lhs, rhs, mmm=mmm)
+    return {"p": p, "q": q, "r": r_of(p, q), "s": s_of(p, q), "x": x, "y": y, "z": z}
 
 
 def _law_choice_nontrivial(rng: Rng, cfg: GenConfig) -> Optional[str]:
@@ -696,105 +524,173 @@ def _law_choice_nontrivial(rng: Rng, cfg: GenConfig) -> Optional[str]:
     return _ce(p=p, q=q, value=lhs)
 
 
-def _law_bind_two_path(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k = gen_kleisli(rng, cfg, max_generators=2, max_support=3)
-    lhs = bind_gcm(m, k.__getitem__)
-    rhs = bind_gcm_direct(m, k.__getitem__)
-    return _eq_or_ce(lhs, rhs, m=m, k=k)
-
-
-def _law_arbitrary_inde(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    from .programs import arbitrary
-
-    cs = carrier_of(cfg)
-    values = [rng.choice(cs) for _ in range(rng.randint(1, 4))]
-    m = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    lhs = bind_gcm(arbitrary(cs[0], values), lambda _: m)
-    return _eq_or_ce(lhs, m, values=values, m=m)
-
-
-# negative controls
-
-
-def _law_neg_bindDr_alt(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    m = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k1 = gen_kleisli(rng, cfg, max_generators=2, max_support=2)
-    k2 = gen_kleisli(rng, cfg, max_generators=2, max_support=2)
-    lhs = bind_gcm(m, lambda a: alt_gcm(k1[a], k2[a]))
-    rhs = alt_gcm(bind_gcm(m, k1.__getitem__), bind_gcm(m, k2.__getitem__))
-    return _eq_or_ce(lhs, rhs, m=m, k1=k1, k2=k2)
-
-
-def _law_neg_bindDr_choice(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    m = gen_gcm(rng, cfg, max_generators=2, max_support=3)
-    k1 = gen_kleisli(rng, cfg, max_generators=2, max_support=2)
-    k2 = gen_kleisli(rng, cfg, max_generators=2, max_support=2)
-    lhs = bind_gcm(m, lambda a: choice_gcm(p, k1[a], k2[a]))
-    rhs = choice_gcm(p, bind_gcm(m, k1.__getitem__), bind_gcm(m, k2.__getitem__))
-    return _eq_or_ce(lhs, rhs, p=p, m=m, k1=k1, k2=k2)
-
-
 # --- registry -------------------------------------------------------------
 
-_CASES: List[LawCase] = [
+REGISTRY: Dict[str, LawCase] = _registry(
+    # prob / dist level
     LawCase("prob_rs", "pass", _law_prob_rs, "mixing-weight side conditions"),
-    LawCase("dist_map_affine", "pass", _law_dist_map_affine, "pushforward is affine"),
-    LawCase("dist_bindretf", "pass", _law_dist_bindretf, "dist monad left unit"),
-    LawCase("dist_bindmret", "pass", _law_dist_bindmret, "dist monad right unit"),
-    LawCase("dist_bindA", "pass", _law_dist_bindA, "dist monad associativity"),
-    LawCase("dist_bindDl", "pass", _law_dist_bindDl, "dist bind distributes left over mixing"),
-    LawCase("dist_flatten", "pass", _law_dist_flatten, "barycenter of point masses"),
+    _equation("dist_map_affine", "pass", "pushforward is affine",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), d1=gen_dist(rng, cfg), d2=gen_dist(rng, cfg),
+                                    f=gen_function(rng, cfg)),
+              lambda p, d1, d2, f: (map_dist(f.__getitem__, conv_dist(p, d1, d2)),
+                                    conv_dist(p, map_dist(f.__getitem__, d1), map_dist(f.__getitem__, d2)))),
+    _equation("dist_bindretf", "pass", "dist monad left unit",
+              lambda rng, cfg: dict(a=rng.choice(carrier_of(cfg)), k=_gen_dist_table(rng, cfg)),
+              lambda a, k: (bind_dist(point(a), k.__getitem__), k[a])),
+    _equation("dist_bindmret", "pass", "dist monad right unit",
+              lambda rng, cfg: dict(d=gen_dist(rng, cfg)),
+              lambda d: (bind_dist(d, point), d)),
+    _equation("dist_bindA", "pass", "dist monad associativity",
+              lambda rng, cfg: dict(d=gen_dist(rng, cfg), k1=_gen_dist_table(rng, cfg),
+                                    k2=_gen_dist_table(rng, cfg)),
+              lambda d, k1, k2: (bind_dist(bind_dist(d, k1.__getitem__), k2.__getitem__),
+                                 bind_dist(d, lambda a: bind_dist(k1[a], k2.__getitem__)))),
+    _equation("dist_bindDl", "pass", "dist bind distributes left over mixing",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), d1=gen_dist(rng, cfg), d2=gen_dist(rng, cfg),
+                                    k=_gen_dist_table(rng, cfg)),
+              lambda p, d1, d2, k: (
+                  bind_dist(conv_dist(p, d1, d2), k.__getitem__),
+                  conv_dist(p, bind_dist(d1, k.__getitem__), bind_dist(d2, k.__getitem__)))),
+    _equation("dist_flatten", "pass", "barycenter of point masses",
+              lambda rng, cfg: dict(d=gen_dist(rng, cfg)),
+              lambda d: (barycenter(map_dist(point, d), DIST_INSTANCE), d)),
     LawCase("dist_order_total", "pass", _law_dist_order_total, "distribution order is total"),
-    LawCase("barycenter_bind", "pass", _law_barycenter_bind, "barycenter of pushforward is bind"),
-    LawCase("convn_perm_rat", "pass", _law_convn_perm_rat, "n-ary mixing permutation invariance"),
-    LawCase("convn_perm_dist", "pass", _law_convn_perm_dist, "n-ary mixing permutation invariance"),
-    LawCase("convn_perm_necset", "pass", _law_convn_perm_necset, "n-ary mixing permutation invariance"),
+    _equation("barycenter_bind", "pass", "barycenter of pushforward is bind",
+              lambda rng, cfg: dict(d=gen_dist(rng, cfg), k=_gen_dist_table(rng, cfg)),
+              lambda d, k: (barycenter(map_dist(k.__getitem__, d), DIST_INSTANCE),
+                            bind_dist(d, k.__getitem__))),
+    _equation("convn_perm_rat", "pass", "n-ary mixing permutation invariance",
+              _convn_perm_draw(_gen_rationals), _convn_perm_sides(RAT_INSTANCE)),
+    _equation("convn_perm_dist", "pass", "n-ary mixing permutation invariance",
+              _convn_perm_draw(lambda rng, cfg: [gen_dist(rng, cfg) for _ in range(rng.randint(1, 4))]),
+              _convn_perm_sides(DIST_INSTANCE)),
+    _equation("convn_perm_necset", "pass", "n-ary mixing permutation invariance",
+              _convn_perm_draw(lambda rng, cfg: [gen_gcm(rng, cfg, max_generators=2, max_support=2)
+                                                 for _ in range(rng.randint(1, 3))]),
+              _convn_perm_sides(NECSET_INSTANCE)),
+    # convex geometry level
     LawCase("hull_oracle_agree", "pass", _law_hull_oracle_agree, "simplex matches enumeration oracle"),
-    LawCase("canonicalize_idempotent", "pass", _law_canonicalize_idempotent, ""),
+    _equation("canonicalize_idempotent", "pass", "",
+              lambda rng, cfg: dict(generators=_gen_generators(rng, cfg)),
+              _canonicalize_twice),
     LawCase("canonicalize_hull_preserved", "pass", _law_canonicalize_hull_preserved, ""),
     LawCase("canonicalize_order_independent", "pass", _law_canonicalize_order_independent, ""),
-    LawCase("affine_image_hull", "pass", _law_affine_image_hull, "affine images preserve hulls"),
-    LawCase("lub_singleton", "pass", _law_lub_singleton, "collapse of a one-element family"),
-    LawCase("lub_flatten", "pass", _law_lub_flatten, "collapse of family of families"),
-    LawCase("conv_lub_distr", "pass", _law_conv_lub_distr, "mixing distributes over collapse"),
-    LawCase("lub_op_hull", "pass", _law_lub_op_hull, "mixtures are absorbed by collapse"),
+    _equation("affine_image_hull", "pass", "affine images preserve hulls",
+              lambda rng, cfg: dict(generators=_gen_generators(rng, cfg), f=gen_function(rng, cfg)),
+              lambda generators, f: (
+                  canonicalize([map_dist(f.__getitem__, g) for g in generators]),
+                  canonicalize([map_dist(f.__getitem__, g) for g in canonicalize(generators)]))),
+    # necset level
+    _equation("lub_singleton", "pass", "collapse of a one-element family",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg)),
+              lambda x: (lub_necset([x]), x)),
+    _equation("lub_flatten", "pass", "collapse of family of families",
+              lambda rng, cfg: dict(families=[_gen_family(rng, cfg, 2) for _ in range(rng.randint(1, 3))]),
+              lambda families: (lub_necset([x for fam in families for x in fam]),
+                                lub_necset([lub_necset(fam) for fam in families]))),
+    _equation("conv_lub_distr", "pass", "mixing distributes over collapse",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), x=gen_gcm(rng, cfg, max_generators=2),
+                                    family=_gen_family(rng, cfg, 3)),
+              lambda p, x, family: (conv_necset(p, x, lub_necset(family)),
+                                    lub_necset([conv_necset(p, x, y) for y in family]))),
+    _equation("lub_op_hull", "pass", "mixtures are absorbed by collapse",
+              _draw_lub_op_hull,
+              lambda family, weights, mixture: (lub_necset(family + [mixture]), lub_necset(family))),
     LawCase("necset_eq_extensional", "pass", _law_necset_eq_extensional, "structural = extensional equality"),
-    LawCase("lub_fold", "pass", _law_lub_fold, "family collapse = fold of binary choice"),
+    _equation("lub_fold", "pass", "family collapse = fold of binary choice",
+              lambda rng, cfg: dict(family=_gen_family(rng, cfg, 4)),
+              lambda family: (lub_necset(family), reduce(alt_necset, family))),
     LawCase("member_convex", "pass", _law_member_convex, "members are closed under mixing"),
-    LawCase("bindretf", "pass", _law_bindretf, "monad left unit"),
-    LawCase("bindmret", "pass", _law_bindmret, "monad right unit"),
-    LawCase("bindA", "pass", _law_bindA, "monad associativity"),
-    LawCase("choice0", "pass", _law_choice0, "zero-weight choice is the right branch"),
-    LawCase("choice1", "pass", _law_choice1, "unit-weight choice is the left branch"),
-    LawCase("choiceC", "pass", _law_choiceC, "skewed commutativity"),
-    LawCase("choicemm", "pass", _law_choicemm, "probabilistic choice idempotence"),
-    LawCase("choiceA", "pass", _law_choiceA, "quasi-associativity"),
-    LawCase("prob_bindDl", "pass", _law_prob_bindDl, "bind left-distributes over choice"),
-    LawCase("altA", "pass", _law_altA, "nondeterministic choice associativity"),
-    LawCase("alt_bindDl", "pass", _law_alt_bindDl, "bind left-distributes over alt"),
-    LawCase("altmm", "pass", _law_altmm, "nondeterministic choice idempotence"),
-    LawCase("altC", "pass", _law_altC, "nondeterministic choice commutativity"),
-    LawCase("choicealtDr", "pass", _law_choicealtDr, "choice distributes over alt"),
-    LawCase("join_ret", "pass", _law_join_ret, "join after ret"),
-    LawCase("join_map_ret", "pass", _law_join_map_ret, "join after mapped ret"),
-    LawCase("join_naturality", "pass", _law_join_naturality, "join is natural"),
-    LawCase("join_join", "pass", _law_join_join, "join associativity"),
+    # gcm level
+    _equation("bindretf", "pass", "monad left unit",
+              lambda rng, cfg: dict(a=rng.choice(carrier_of(cfg)), k=gen_kleisli(rng, cfg)),
+              lambda a, k: (bind_gcm(ret_gcm(a), k.__getitem__), k[a])),
+    _equation("bindmret", "pass", "monad right unit",
+              lambda rng, cfg: dict(m=gen_gcm(rng, cfg)),
+              lambda m: (bind_gcm(m, ret_gcm), m)),
+    _equation("bindA", "pass", "monad associativity",
+              lambda rng, cfg: dict(m=_gen_small(rng, cfg), k1=_gen_small_kleisli(rng, cfg, 3),
+                                    k2=_gen_small_kleisli(rng, cfg, 3)),
+              lambda m, k1, k2: (bind_gcm(bind_gcm(m, k1.__getitem__), k2.__getitem__),
+                                 bind_gcm(m, lambda a: bind_gcm(k1[a], k2.__getitem__)))),
+    _equation("choice0", "pass", "zero-weight choice is the right branch",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg), y=gen_gcm(rng, cfg)),
+              lambda x, y: (choice_gcm(Prob(Fraction(0)), x, y), y)),
+    _equation("choice1", "pass", "unit-weight choice is the left branch",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg), y=gen_gcm(rng, cfg)),
+              lambda x, y: (choice_gcm(Prob(Fraction(1)), x, y), x)),
+    _equation("choiceC", "pass", "skewed commutativity",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), x=gen_gcm(rng, cfg), y=gen_gcm(rng, cfg)),
+              lambda p, x, y: (choice_gcm(p, x, y), choice_gcm(complement(p), y, x))),
+    _equation("choicemm", "pass", "probabilistic choice idempotence",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), x=gen_gcm(rng, cfg)),
+              lambda p, x: (choice_gcm(p, x, x), x)),
+    _equation("choiceA", "pass", "quasi-associativity",
+              _draw_choiceA,
+              lambda p, q, r, s, x, y, z: (choice_gcm(p, x, choice_gcm(q, y, z)),
+                                           choice_gcm(s, choice_gcm(r, x, y), z))),
+    _equation("prob_bindDl", "pass", "bind left-distributes over choice",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), m1=_gen_small(rng, cfg), m2=_gen_small(rng, cfg),
+                                    k=_gen_small_kleisli(rng, cfg, 3)),
+              lambda p, m1, m2, k: (bind_gcm(choice_gcm(p, m1, m2), k.__getitem__),
+                                    choice_gcm(p, bind_gcm(m1, k.__getitem__), bind_gcm(m2, k.__getitem__)))),
+    _equation("altA", "pass", "nondeterministic choice associativity",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg), y=gen_gcm(rng, cfg), z=gen_gcm(rng, cfg)),
+              lambda x, y, z: (alt_gcm(x, alt_gcm(y, z)), alt_gcm(alt_gcm(x, y), z))),
+    _equation("alt_bindDl", "pass", "bind left-distributes over alt",
+              lambda rng, cfg: dict(m1=_gen_small(rng, cfg), m2=_gen_small(rng, cfg),
+                                    k=_gen_small_kleisli(rng, cfg, 3)),
+              lambda m1, m2, k: (bind_gcm(alt_gcm(m1, m2), k.__getitem__),
+                                 alt_gcm(bind_gcm(m1, k.__getitem__), bind_gcm(m2, k.__getitem__)))),
+    _equation("altmm", "pass", "nondeterministic choice idempotence",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg)),
+              lambda x: (alt_gcm(x, x), x)),
+    _equation("altC", "pass", "nondeterministic choice commutativity",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg), y=gen_gcm(rng, cfg)),
+              lambda x, y: (alt_gcm(x, y), alt_gcm(y, x))),
+    _equation("choicealtDr", "pass", "choice distributes over alt",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), x=gen_gcm(rng, cfg, max_generators=2),
+                                    y=gen_gcm(rng, cfg, max_generators=2),
+                                    z=gen_gcm(rng, cfg, max_generators=2)),
+              lambda p, x, y, z: (choice_gcm(p, x, alt_gcm(y, z)),
+                                  alt_gcm(choice_gcm(p, x, y), choice_gcm(p, x, z)))),
+    _equation("join_ret", "pass", "join after ret",
+              lambda rng, cfg: dict(m=gen_gcm(rng, cfg)),
+              lambda m: (join_gcm(ret_gcm(m)), m)),
+    _equation("join_map_ret", "pass", "join after mapped ret",
+              lambda rng, cfg: dict(m=gen_gcm(rng, cfg)),
+              lambda m: (join_gcm(map_gcm(ret_gcm, m)), m)),
+    _equation("join_naturality", "pass", "join is natural",
+              lambda rng, cfg: dict(mm=_gen_nested(rng, cfg), f=gen_function(rng, cfg)),
+              lambda mm, f: (map_gcm(f.__getitem__, join_gcm(mm)),
+                             join_gcm(map_gcm(lambda inner: map_gcm(f.__getitem__, inner), mm)))),
+    _equation("join_join", "pass", "join associativity",
+              lambda rng, cfg: dict(mmm=_gen_nested2(rng, cfg)),
+              lambda mmm: (join_gcm(map_gcm(join_gcm, mmm)), join_gcm(join_gcm(mmm)))),
     LawCase("choice_nontrivial", "pass", _law_choice_nontrivial, "distinct weights are distinguished"),
-    LawCase("bind_two_path", "pass", _law_bind_two_path, "join-after-map = product formula"),
-    LawCase("arbitrary_inde", "pass", _law_arbitrary_inde, "ignored nondeterminism vanishes"),
-    LawCase("neg_bindDr_alt", "fail", _law_neg_bindDr_alt, "rejected: bind right-distributes over alt"),
-    LawCase("neg_bindDr_choice", "fail", _law_neg_bindDr_choice, "rejected: bind right-distributes over choice"),
-]
-
-REGISTRY: Dict[str, LawCase] = {case.name: case for case in _CASES}
-
-assert len(REGISTRY) == len(_CASES), "law names must be unique"
+    _equation("bind_two_path", "pass", "join-after-map = product formula",
+              lambda rng, cfg: dict(m=_gen_small(rng, cfg), k=_gen_small_kleisli(rng, cfg, 3)),
+              lambda m, k: (bind_gcm(m, k.__getitem__), bind_gcm_direct(m, k.__getitem__))),
+    _equation("arbitrary_inde", "pass", "ignored nondeterminism vanishes",
+              lambda rng, cfg: dict(values=[rng.choice(carrier_of(cfg)) for _ in range(rng.randint(1, 4))],
+                                    m=_gen_small(rng, cfg)),
+              lambda values, m: (bind_gcm(arbitrary(_SYMBOLS[0], values), lambda _: m), m)),
+    # negative controls
+    _equation("neg_bindDr_alt", "fail", "rejected: bind right-distributes over alt",
+              lambda rng, cfg: dict(m=_gen_small(rng, cfg), k1=_gen_small_kleisli(rng, cfg, 2),
+                                    k2=_gen_small_kleisli(rng, cfg, 2)),
+              lambda m, k1, k2: (bind_gcm(m, lambda a: alt_gcm(k1[a], k2[a])),
+                                 alt_gcm(bind_gcm(m, k1.__getitem__), bind_gcm(m, k2.__getitem__)))),
+    _equation("neg_bindDr_choice", "fail", "rejected: bind right-distributes over choice",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), m=_gen_small(rng, cfg),
+                                    k1=_gen_small_kleisli(rng, cfg, 2), k2=_gen_small_kleisli(rng, cfg, 2)),
+              lambda p, m, k1, k2: (bind_gcm(m, lambda a: choice_gcm(p, k1[a], k2[a])),
+                                    choice_gcm(p, bind_gcm(m, k1.__getitem__), bind_gcm(m, k2.__getitem__)))),
+)
 
 
 def law_names() -> List[str]:
-    return [case.name for case in _CASES]
+    return list(REGISTRY)
 
 
 def run_trial(name: str, config: GenConfig, trial: int) -> Optional[str]:

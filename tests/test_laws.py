@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import time_budget, validate_dist
+from convexchoice import laws
 from convexchoice.gcm import alt_gcm, bind_gcm, ret_gcm
 from convexchoice.laws import (
     Counterexample,
@@ -39,6 +40,13 @@ def test_registry_names_unique_and_covered():
     assert len(names) == len(set(names))
     reports = check_all(GenConfig(trials=1, seed=3))
     assert [r.name for r in reports] == names
+
+
+def test_a_law_name_registered_twice_is_rejected():
+    case = REGISTRY["choicemm"]
+    with pytest.raises(ValueError, match="choicemm"):
+        laws._registry(case, REGISTRY["altC"], case)
+    assert list(laws._registry(case, REGISTRY["altC"])) == ["choicemm", "altC"]
 
 
 def test_expected_negative_controls():
@@ -223,6 +231,21 @@ def test_trial_instances_depend_on_seed_law_and_trial_alone():
                 base = random.Random(int.from_bytes(digest[:8], "big"))
                 got = case.checker(trial_rng(seed, name, trial), config)
                 assert got == case.checker(base, config), (seed, name, trial)
+
+
+def test_every_law_instance_is_pinned(monkeypatch):
+    # every equation renders its inputs and both sides, equal or not, so the
+    # digest pins the drawn instances and the two sides of every law
+    monkeypatch.setattr(laws, "_eq_or_ce", lambda lhs, rhs, **inputs: laws._ce(**inputs, lhs=lhs, rhs=rhs))
+    config = GenConfig(trials=10, seed=42)
+    digest, rendered = hashlib.sha256(), 0
+    for name in law_names():
+        for trial in range(config.trials):
+            found = run_trial(name, config, trial)
+            rendered += found is not None
+            digest.update(f"{name}|{trial}|{found}\n".encode())
+    assert rendered == 400
+    assert digest.hexdigest() == "e9959ea1d0ba788e50802b7927d571e233da5522cf6dba2472fc23e602070cc2"
 
 
 def test_reports_deterministic():
