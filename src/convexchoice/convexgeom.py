@@ -548,7 +548,8 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     others.  Extreme points are never removable, so one pass over the
     deduplicated list suffices and the result is removal-order independent.
     Duplicates are dropped after sorting, as equal neighbours, so no
-    generator is hashed.
+    generator is hashed, except in a list of three or more point masses
+    (below).
 
     The pass is output-sensitive: a point that is one of at most two to
     reach the maximum (or the minimum) of some coordinate, or of the
@@ -557,18 +558,25 @@ def canonicalize(generators: Sequence[Dist]) -> List[Dist]:
     support key no other generator has.  The remaining points each get one
     exact LP over the generators still alive; all of them are put in integer
     coordinates once.
-    When every distinct generator is a point mass, as the values of `ret`
-    and `arbitrary` are, they sit on distinct vertices of the simplex, so
-    all of them are kept with no integer form built at all.
+    When every generator is a point mass, as the values of `ret` and
+    `arbitrary` are, the distinct ones sit on distinct vertices of the
+    simplex, so all of them are kept with no integer form built at all.  Of
+    three or more, they are deduplicated in a dict on their one outcome key,
+    keeping the first of equal ones, and the keys are sorted: the `Dist`
+    order of point masses is the order of their keys.
     """
     if not generators:
         raise ValueError("empty generator list")
-    unique = []
-    for g in sorted(generators):
-        if not unique or g != unique[-1]:
-            unique.append(g)
-    if len(unique) > 2 and not all(len(g.nums) == 1 for g in unique):
-        unique = _extreme_points(unique)
+    if len(generators) > 2 and all(len(g.nums) == 1 for g in generators):
+        first = {g.okeys[0]: g for g in reversed(generators)}
+        unique = [first[k] for k in sorted(first)]
+    else:
+        unique = []
+        for g in sorted(generators):
+            if not unique or g != unique[-1]:
+                unique.append(g)
+        if len(unique) > 2:
+            unique = _extreme_points(unique)
     if stats.enabled:
         stats.counts["canonicalize_calls"] += 1
         stats.counts["gens_in"] += len(generators)

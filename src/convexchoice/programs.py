@@ -27,7 +27,8 @@ by index.  A nested binder on the left of ``<-`` needs parentheses.  Every
 variable must be bound by an enclosing ``do``, and the parser checks this as
 it reads: a binder's variable is in scope in the rest of its ``do`` sequence,
 not in its own bound expression.  It also records, on each binder, the free
-variables of its body, by which the evaluator keys the rest of a sequence.
+variables of its body, by which the evaluator keys the rest of a sequence,
+and whether its bound expression reads any variable.
 Errors come in a fixed order: an unexpected character first, then a syntax
 error, then the first unbound variable in source order.
 """
@@ -81,8 +82,8 @@ _NOPOS: Pos = (0, 0)
 
 
 class _Node:
-    """Base of the AST nodes: `==`, `hash` and `repr` read only `_fields`, so no position
-    or `Bind.live` tells two nodes apart; nodes of two classes are never equal."""
+    """Base of the AST nodes: `==`, `hash` and `repr` read only `_fields`, so no position,
+    `Bind.live` or `Bind.closed` tells two nodes apart; nodes of two classes are never equal."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -152,15 +153,17 @@ class Alt(_Node):
 
 class Bind(_Node):
     """`do var <- bound; body`.  `live` holds the free variables of `body`,
-    the only ones the rest of the sequence reads; the parser sets it, and a
-    hand-built node keeps the default None, which the evaluator reads as every
-    variable in scope."""
+    the only ones the rest of the sequence reads, and `closed` says that
+    `bound` reads no variable at all; the parser sets both.  A hand-built node
+    keeps the defaults None and False, which the evaluator reads as every
+    variable in scope and a bound evaluated each time it is reached."""
 
-    __slots__ = ("var", "bound", "body", "live")
+    __slots__ = ("var", "bound", "body", "live", "closed")
     _fields = ("var", "bound", "body")
 
-    def __init__(self, var: str, bound: "Expr", body: "Expr", live: Optional[Tuple[str, ...]] = None) -> None:
-        self.var, self.bound, self.body, self.live = var, bound, body, live
+    def __init__(self, var: str, bound: "Expr", body: "Expr",
+                 live: Optional[Tuple[str, ...]] = None, closed: bool = False) -> None:
+        self.var, self.bound, self.body, self.live, self.closed = var, bound, body, live, closed
 
 
 class Uniform(_Node):
@@ -295,22 +298,26 @@ class _Parser:
         # where its binder's body is read.  The free variables of a body are
         # those read in it, less the variable of each binder inside it from
         # that binder's body on: free(do x <- m; r) = free(m) | free(r) - {x}.
+        # A bound is closed when free(m) is empty.
         heads = []
         kinds, scope, reads = self.kinds, self.scope, self.reads
         while kinds[self.i] == "DO":
             self.i += 1
             var = self.texts[self.expect("VAR", "a variable name")]
             self.expect("ARROW", "'<-'")
+            reads.append(set())
             bound = self.parse_alt()
+            read = reads.pop()
+            reads[-1] |= read
             self.expect("SEMI", "';'")
             scope[var] = scope.get(var, 0) + 1
             reads.append(set())
-            heads.append((var, bound))
+            heads.append((var, bound, not read))
         expr = self.parse_alt()
-        for var, bound in reversed(heads):
+        for var, bound, closed in reversed(heads):
             scope[var] -= 1
             live = reads.pop()
-            expr = Bind(var, bound, expr, tuple(sorted(live)))
+            expr = Bind(var, bound, expr, tuple(sorted(live)), closed)
             live.discard(var)
             reads[-1] |= live
         return expr
@@ -536,7 +543,7 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal]) -> GcmVal:
+def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[object, GcmVal]) -> GcmVal:
     """A `do` sequence by the monad laws, with the rest evaluated only as often
     as the values it reads differ.
 
@@ -557,9 +564,18 @@ def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal]) -> Gcm
       continuation, so the first error raised is the one nested binds raise.
       Each such binder costs four frames of recursion, so about 250 of them
       in one chain reach the interpreter's recursion limit.
+
+    A bound that reads no variable at all (`Bind.closed`) has one value
+    wherever it is reached, so it is evaluated where first reached, which
+    keeps its first error, and kept in `memo` under its node's identity for
+    the whole sequence.  "No earlier binder of this sequence" would not do: a
+    parenthesized `do` in a body shares `memo` and may read an outer binder.
     """
     while isinstance(e, Bind):
-        bound = eval_expr(e.bound, env)
+        if not e.closed:
+            bound = eval_expr(e.bound, env)
+        elif (bound := memo.get(id(e))) is None:
+            bound = memo[id(e)] = eval_expr(e.bound, env)
         if e.live is None or e.var in e.live:
             gens = bound.generators
             if len(gens) > 1 or len(gens[0].outcomes) > 1:
@@ -569,7 +585,7 @@ def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal]) -> Gcm
     return eval_expr(e, env)
 
 
-def _eval_rest(e: Bind, env: Dict[str, Outcome], memo: Dict[tuple, GcmVal], a: Outcome) -> GcmVal:
+def _eval_rest(e: Bind, env: Dict[str, Outcome], memo: Dict[object, GcmVal], a: Outcome) -> GcmVal:
     """The body of `e` with its variable bound to `a`, through `memo`."""
     env = {**env, e.var: a}
     key = (id(e), *[outcome_key(env[v]) for v in (env if e.live is None else e.live)])

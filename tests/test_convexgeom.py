@@ -450,6 +450,49 @@ def test_canonicalize_point_masses_match_the_general_path(monkeypatch):
         forms.clear()
 
 
+def _sorted_then_deduped(generators):
+    """The reference: sort by the `Dist` order, then keep the first of equal neighbours."""
+    unique = []
+    for g in sorted(generators):
+        if not unique or g != unique[-1]:
+            unique.append(g)
+    return unique
+
+
+def test_point_masses_dedup_by_key_as_sorting_then_dropping_equal_neighbours():
+    # each draw builds a new outcome object, so equal nested outcomes are not
+    # the same object and the first of equal generators must be the one kept
+    pools = [
+        [lambda: True, lambda: False],
+        [lambda: -1, lambda: 0, lambda: 1, lambda: 2],
+        [lambda: "a", lambda: "b", lambda: "ab"],
+        [
+            lambda: from_generators([point(1), point(True)]),
+            lambda: from_generators([point(True), point(1)]),
+            lambda: from_generators([point(from_generators([point("a")]))]),
+            lambda: from_generators([d_of(("a", 1, 2), ("b", 1, 2)), point("a")]),
+            lambda: d_of((0, 1, 3), (1, 2, 3)),
+        ],
+    ]
+    pools.append([draw for pool in pools for draw in pool])
+    rng = random.Random(47)
+    for trial in range(300):
+        pool = pools[trial % len(pools)]
+        points = [point(rng.choice(pool)()) for _ in range(rng.randint(1, 12))]
+        want = _sorted_then_deduped(points)
+        stats.start()
+        try:
+            got = canonicalize(points)
+        finally:
+            stats.stop()
+        assert got == want and all(g is w for g, w in zip(got, want)), points
+        assert [stats.counts[k] for k in ("canonicalize_calls", "gens_in", "gens_out")] == [
+            1, len(points), len(want)
+        ]
+    # True == 1 in Python, but they are two outcomes
+    assert canonicalize([point(1), point(True), point(1), point(True)]) == [point(True), point(1)]
+
+
 def _small_weights(rng, keys):
     """A distribution over `keys` with integer weights 0-3."""
     weights = [rng.randint(0, 3) for _ in keys]

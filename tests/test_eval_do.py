@@ -3,7 +3,8 @@
 A binder whose bound value is `ret a` binds `a` in place, one whose variable
 the rest does not read (it is not in `Bind.live`) binds nothing, and after any
 other the rest of the sequence is evaluated once per distinct tuple of values
-of the variables it reads.  The reference evaluator below is the plain
+of the variables it reads.  A bound that reads no variable (`Bind.closed`) is
+evaluated once per sequence.  The reference evaluator below is the plain
 definition: nested `bind_gcm` calls whose continuations recurse, so the rest
 of a sequence is evaluated once per entry of every generator.  `eval_expr`
 must give the same value, or raise the same first error, on every program.
@@ -51,8 +52,9 @@ def _reference(e, env):
         return alt_gcm(_reference(e.left, env), _reference(e.right, env))
     if isinstance(e, Bind):
         return bind_gcm(_reference(e.bound, env), lambda a: _reference(e.body, {**env, e.var: a}))
-    values = [eval_value(v, env) for v in e.items]
+    # in source order: the default, then the items
     default = eval_value(e.default, env)
+    values = [eval_value(v, env) for v in e.items]
     if isinstance(e, Uniform):
         return uniform(default, values)
     assert isinstance(e, Arbitrary)
@@ -125,6 +127,13 @@ def test_eval_agrees_with_the_reference_evaluator():
             "(do x <- ret (x == 1); ret x) [~] ret 0",
             "{true: 1}\n{false: 1}\n{0: 1}",
         ),
+        # a parenthesized body shares the outer sequence's memo, and its bound
+        # `ret x` reads no binder of its own sequence but does read x, so it is
+        # evaluated once per x, not once for the whole
+        (
+            "do x <- arbitrary 0 [1, 2]; (do y <- ret 0; do z <- ret x; ret (z == 2))",
+            "{true: 1}\n{false: 1}",
+        ),
         # a parenthesized body whose rest reads the outer variable as well as
         # its own: 2 x 2 generators
         (
@@ -146,6 +155,38 @@ def test_do_sequence_first_error_is_unchanged():
     assert str(exc.value) == "line 1, col 59: type: cannot compare 1 and true"
 
 
+def test_closed_bound_that_raises_reports_one_error_line(capsys, monkeypatch):
+    # z's bound reads no variable, so it is evaluated once, where it is first
+    # reached, and raises there as it did when evaluated once per x and y
+    source = (
+        "do x <- arbitrary 0 [1, 2]; do y <- uniform 0 [x, 3]; "
+        "do z <- (do w <- ret 1; ret (w == true)); ret (x == y)"
+    )
+    code, out, err = _eval_stdin(capsys, monkeypatch, source)
+    assert (code, out, err) == (1, "", "error: line 1, col 83: type: cannot compare 1 and true\n")
+    ast = parse(source)
+    assert _outcome(lambda e: eval_expr(e, {}), ast) == _outcome(lambda e: _reference(e, {}), ast)
+
+
+def test_closed_bounds_are_evaluated_once_per_sequence(monkeypatch):
+    calls = []
+    monkeypatch.setattr(programs, "arbitrary", lambda d, vs: calls.append(vs) or arbitrary(d, vs))
+    # the rest reads x and y, so it is evaluated per pair, but z's set reads no
+    # variable and the parenthesized body shares the sequence's memo: built once
+    shared = (
+        "do x <- arbitrary 0 [1, 2, 3]; do y <- uniform 0 [x, 4]; "
+        "(do z <- arbitrary 0 [5, 6]; ret (y == z))"
+    )
+    # an operand of `[~]` is a sequence of its own, evaluated once per x
+    apart = "do x <- arbitrary 0 [1, 2, 3]; (do z <- arbitrary 0 [5, 6]; ret (x == z)) [~] ret 0"
+    for source, want in [(shared, 1), (apart, 3)]:
+        ast = parse(source)
+        calls.clear()
+        got = eval_expr(ast)
+        assert calls == [[1, 2, 3]] + [[5, 6]] * want, source
+        assert got == _reference(ast, {})
+
+
 def test_k8_program_builds_one_ret_per_pair_it_reads(monkeypatch):
     calls = []
     monkeypatch.setattr(programs, "ret_gcm", lambda a: calls.append(a) or ret_gcm(a))
@@ -162,7 +203,7 @@ def test_k8_program_builds_one_ret_per_pair_it_reads(monkeypatch):
 def test_hand_built_bind_is_read_by_default():
     y = Bind("y", Uniform(Lit(0), (Lit(3), Lit(4))), Ret(Var("x")))
     e = Bind("x", Arbitrary(Lit(0), (Lit(1), Lit(2))), y)
-    assert e.live is None and y.live is None
+    assert e.live is None and y.live is None and not e.closed and not y.closed
     assert render(eval_expr(e)) == "{1: 1}\n{2: 1}"
     assert eval_expr(e) == _reference(e, {})
 
@@ -232,6 +273,7 @@ def test_parser_records_the_free_variables_of_each_binders_body():
         e = _gen_sequence(rng) if i % 2 else _gen_expr(rng, frozenset(), rng.randint(1, 4))
         for b in _binders(parse(render_expr(e))):
             assert set(b.live) == _free_vars(b.body), render_expr(b)
+            assert b.closed == (not _free_vars(b.bound)), render_expr(b)
             read += b.var in b.live
             unread += b.var not in b.live
     assert read > 200 and unread > 200
@@ -277,11 +319,14 @@ def _src_bound(rng, scope, kind, depth):
 def _src_sequence(rng, scope, kind, depth):
     """A `do` sequence of one to three binders whose rest is of `kind`; the rest
     is often a parenthesized sequence, which shares the evaluation of the
-    outer one, and sometimes an operand of `[~]`, which does not."""
+    outer one, and sometimes an operand of `[~]`, which does not.  After the
+    first binder, one bound in three reads no variable at all (it may be a
+    parenthesized sequence of its own), which is evaluated once per sequence."""
     heads = []
-    for _ in range(rng.randint(1, 3)):
+    for i in range(rng.randint(1, 3)):
         var, var_kind = rng.choice(_FUZZ_VARS), rng.choice(("int", "bool"))
-        heads.append(f"do {var} <- {_src_bound(rng, scope, var_kind, depth)}; ")
+        reads = [] if i and rng.random() < 1 / 3 else scope
+        heads.append(f"do {var} <- {_src_bound(rng, reads, var_kind, depth)}; ")
         scope = [(v, k) for v, k in scope if v != var] + [(var, var_kind)]
     r = rng.random()
     if depth and r < 0.5:

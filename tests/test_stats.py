@@ -89,8 +89,10 @@ def test_eval_stats_line_leaves_stdout_alone(capsys, monkeypatch):
 
 
 def test_eval_stats_of_the_k8_program(capsys, monkeypatch):
-    # y is never read, so it binds nothing and the rest is evaluated once per x:
-    # 18 canonicalizations of 152 generators (138 of 1064 when evaluated per pair);
+    # y is never read, so it binds nothing; z's set reads no variable, so it is
+    # built once, and the rest is evaluated once per x: 11 canonicalizations of
+    # 96 generators, x's and z's sets, one per x and one for the whole (18 of 152
+    # when z's set was built once per x, 138 of 1064 when evaluated per pair);
     # evaluation builds every distribution from integer weights, with no `from_pairs`
     values = ", ".join(str(i) for i in range(8))
     program = (
@@ -100,5 +102,5 @@ def test_eval_stats_of_the_k8_program(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(program))
     assert cli_main(["eval", "-", "--stats"]) == 0
     assert _stats_line(capsys.readouterr().err) == (
-        "stats: lp_calls=0 pivots=0 canonicalize_calls=18 gens_in=152 gens_out=90 from_pairs_calls=0"
+        "stats: lp_calls=0 pivots=0 canonicalize_calls=11 gens_in=96 gens_out=34 from_pairs_calls=0"
     )
