@@ -10,17 +10,17 @@ column, False when its value on a coordinate, or on a difference of two
 (`_functionals`), lies outside the range that functional spans over the
 generators (kept once per form, compared as integers), and True when the
 point has positive weight on every outcome and is a nonnegative combination
-of the d columns of the form's crash basis (`HullForm.crash`, chosen once per
-form; one exact d^2 back-substitution per point, `_carry`).  Otherwise it runs a
-phase-1 simplex over integer rows (see `_simplex_feasible`): a zero-row
-presolve, no artificial columns, the largest reduced cost except after as
-many degenerate pivots in a row as rows, when Bland's rule picks until the
-next nondegenerate one, so it terminates, and an early stop once the
-artificial sum is 0.  Its rows are integer-preserving (Edmonds 1967, Bareiss
-1968): all of them share one denominator, the last pivot, so a pivot updates
-a row with one exact division and no gcd.  Every sign test is exact, so it
-needs no tolerance.  `in_hull` builds a form for one query; a
-`NECSet` keeps the form of its generators for all of its queries.
+of the d columns B of the form's crash basis (`HullForm.crash`, chosen once
+per form with the integer inverse |det B| B^-1, so a point costs d integer dot
+products).  Otherwise it runs a phase-1 simplex over integer rows (see
+`_simplex_feasible`): a zero-row presolve, no artificial columns, the largest
+reduced cost except after as many degenerate pivots in a row as rows, when
+Bland's rule picks until the next nondegenerate one, so it terminates, and an
+early stop once the artificial sum is 0.  Its rows are integer-preserving
+(Edmonds 1967, Bareiss 1968): all of them share one denominator, the last
+pivot, so a pivot updates a row with one exact division and no gcd.  Every
+sign test is exact, so it needs no tolerance.  `in_hull` builds a form for
+one query; a `NECSet` keeps the form of its generators for all of its queries.
 
 `minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
 from their extreme points: forcing on bitmasks settles most generator pairs,
@@ -46,15 +46,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
 from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
 
 C = TypeVar("C")
-# A crash basis: (basis, records, den), see `HullForm.crash`.
-Crash = Tuple[Tuple[int, ...], List[Tuple[int, int, List[int]]], int]
+# A crash basis: (basis, inverse, den), see `HullForm.crash`.
+Crash = Tuple[Tuple[int, ...], List[List[int]], int]
 
 
 class ConvexInstance:
@@ -157,7 +157,7 @@ class HullForm:
     the lcm of the `den`s, so all are integers.  Built on first use: `columns`
     (each generator's `_int_coords`), `column_set` for lookup, `ranges`
     (the span of each of `_functionals`), and `crash` (d generators whose
-    columns span the form, with the pivots that invert them).  Nothing
+    columns span the form, with their integer inverse).  Nothing
     changes after it is built.
     """
 
@@ -193,7 +193,7 @@ class HullForm:
 
     @cached_attr
     def crash(self) -> Optional[Crash]:
-        """`(basis, records, den)`: d generators whose columns span the form, or None.
+        """`(basis, inverse, den)`: d generators whose columns span the form, or None.
 
         A crash basis (Bixby, ORSA J. Computing 4, 1992), chosen once per form.
         For each outcome r in index order, it takes the generator with the
@@ -205,40 +205,43 @@ class HullForm:
         twice, and when they are all 0, row r depends on the rows before it:
         the columns have rank below d, and the form gets None.
 
-        `basis[r]` is the generator pivoted in at row r, and `records[r]` is
-        `(piv, den, col)`: the pivot, the denominator before it, and the
-        pivot column's entries in every row just before it, all `_carry`
-        needs.  `den` is the last pivot, det(B) for B the basis columns in
-        basis order; it may be negative.  Built on the first query that asks
-        for it.
+        `basis[r]` is the generator pivoted in at row r, and `den` is the last
+        pivot, det(B) for B the basis columns in basis order; it may be
+        negative.  The same pivots run on a d x d identity block right of the
+        columns (only generator columns enter), which by Sylvester's identity
+        ends as den B^-1 (Bareiss, Math. Comp. 22, 1968).  `inverse` is that
+        block times the sign of den, |den| B^-1: its row r times a point's row
+        is |den| times the coefficient of column `basis[r]` in the combination
+        of basis columns equal to it.  Built on the first query that asks for it.
         """
-        tab = [list(r) for r in zip(*self.columns)]
-        weights = self.rows[1]
+        columns, weights = self.columns, self.rows[1]
+        n, d = len(columns), len(weights)
+        tab = [[*row, *[0] * i, 1, *[0] * (d - 1 - i)] for i, row in enumerate(zip(*columns))]
         basis: List[int] = []
-        records = []
         den = 1
         for r, pivot_row in enumerate(tab):
             w = weights[r]
-            enter = max((j for j, a in enumerate(pivot_row) if a), key=w.__getitem__, default=None)
+            enter = max((j for j in range(n) if pivot_row[j]), key=w.__getitem__, default=None)
             if enter is None:
                 return None
             piv = pivot_row[enter]
-            records.append((piv, den, [row[enter] for row in tab]))
             for i, row in enumerate(tab):
                 if i != r:
                     f = row[enter]
                     tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
             basis.append(enter)
             den = piv
-        return tuple(basis), records, den
+        return tuple(basis), [[a if den > 0 else -a for a in row[n:]] for row in tab], den
 
     def contains(self, x: Dist) -> bool:
         """Exact test for x in the hull, with an LP only when no shortcut answers.
 
         No LP when x has weight where no generator has, is a generator, or
         leaves the range of one of `_functionals`, coordinates first.  Nor
-        when x has positive weight on every indexed outcome and `_carry`
-        writes it as a nonnegative combination of the `crash` basis columns.
+        when x has positive weight on every indexed outcome and each row of
+        the `crash` inverse has a nonnegative dot product with x's row: x is
+        then a nonnegative combination of the basis columns.  With counting
+        on, `stats` counts these crash-basis checks and the points they settle.
         """
         row = _int_coords(x, self.index)
         if row is None:
@@ -256,29 +259,16 @@ class HullForm:
         # presolve drops that row and every column with weight on it.
         if all(row):
             crash = self.crash
-            if crash is not None and min(_carry(crash, row)) >= 0:
-                return True  # x is a nonnegative combination of the basis columns
+            if crash is not None:
+                settled = all(sum(map(mul, inverse_row, row)) >= 0 for inverse_row in crash[1])
+                if stats.enabled:
+                    stats.counts["crash_checks"] += 1
+                    stats.counts["crash_settled"] += settled
+                if settled:
+                    return True  # x is a nonnegative combination of the basis columns
         # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
         # coordinate rows and needs no row of its own.
         return _simplex_feasible(self.columns, row)
-
-
-def _carry(crash: Crash, rhs: Sequence[int]) -> List[int]:
-    """`rhs` carried through a `HullForm.crash` basis's pivots: |den| B^-1 rhs, in d^2 exact steps.
-
-    Entry r over |den| is the coefficient of column `basis[r]` in the unique
-    combination of the basis columns B that equals `rhs`.  Each record is
-    the step `_pivot_feasible` makes on the right-hand side column: every
-    entry but the pivot row's becomes (v * piv - f * v_r) // den, and the
-    pivot row's stays.  The last step leaves den B^-1 rhs, negated at the end
-    when den < 0 so that every sign reads as over a positive denominator.
-    """
-    _, records, den = crash
-    for r, (piv, prev, col) in enumerate(records):
-        v_r = rhs[r]
-        rhs = [(v * piv - f * v_r) // prev for v, f in zip(rhs, col)]
-        rhs[r] = v_r
-    return rhs if den > 0 else [-v for v in rhs]
 
 
 def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
@@ -457,9 +447,9 @@ def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
     The answer comes from `HullForm.contains`, with no LP when x has weight on
     an outcome no generator has, equals a generator, lies outside a
     functional's range, or has positive weight everywhere and a nonnegative
-    combination of the crash basis columns (built for this query too).  A
-    `NECSet` keeps its form instead, so `necset.member` builds the form and
-    its crash basis once per set.
+    combination of the crash basis columns (built, with its inverse, for this
+    query too).  A `NECSet` keeps its form instead, so `necset.member` builds
+    the form and its crash basis once per set.
     """
     if not generators:
         raise ValueError("empty generator list")

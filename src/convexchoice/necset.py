@@ -92,7 +92,8 @@ def member(d: Dist, x: NECSet) -> bool:
     generator (True), lies outside the range of a coordinate or of a
     difference of two over the generators (False), or has positive weight on
     every outcome and is a nonnegative combination of the form's crash basis
-    columns (True; see `HullForm.crash`, built on the first query that needs
+    columns, read off in d dot products with the basis's integer inverse (True;
+    see `HullForm.crash`, built with its inverse on the first query that needs
     it); otherwise one simplex runs over the kept columns, which it does not
     change.
     """

@@ -514,9 +514,11 @@ def eval_value(v: ValueExpr, env: Dict[str, Outcome]) -> Outcome:
     raise TypeError(f"not a value expression: {v!r}")
 
 
-def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
-    """Compositional evaluation in the combined-choice monad."""
-    env = env or {}
+def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None, memo: Optional[dict] = None) -> GcmVal:
+    """Compositional evaluation in the combined-choice monad.
+
+    Each `do` of one evaluation, in an operand or a bound too, shares `memo` (see `_eval_do`)."""
+    env, memo = env or {}, {} if memo is None else memo
     if isinstance(e, Ret):
         return ret_gcm(eval_value(e.value, env))
     if isinstance(e, (Choice, Alt)):
@@ -526,9 +528,9 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
         while isinstance(e, (Choice, Alt)):
             spine.append(e)
             e = e.left
-        value = eval_expr(e, env)
+        value = eval_expr(e, env, memo)
         for node in reversed(spine):
-            right = eval_expr(node.right, env)
+            right = eval_expr(node.right, env, memo)
             value = (
                 choice_gcm(node.prob, value, right)
                 if isinstance(node, Choice)
@@ -536,7 +538,7 @@ def eval_expr(e: Expr, env: Optional[Dict[str, Outcome]] = None) -> GcmVal:
             )
         return value
     if isinstance(e, Bind):
-        return _eval_do(e, env, {})
+        return _eval_do(e, env, memo)
     if isinstance(e, (Uniform, Arbitrary)):
         make = uniform if isinstance(e, Uniform) else arbitrary
         return make(eval_value(e.default, env), [eval_value(v, env) for v in e.items])
@@ -556,7 +558,7 @@ def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[object, GcmVal]) -> Gc
       (left unit, `bind (ret a) k = k a`);
     - otherwise `bind_gcm` runs the rest once per outcome, and the rest is
       evaluated once per distinct tuple of values of the variables it reads,
-      kept in `memo` for the whole sequence.  A variable that the rest does not
+      kept in `memo` for the whole evaluation.  A variable that the rest does not
       read drops out of its key (associativity: `do x <- m; do y <- k; r` is
       `do y <- (do x <- m; k); r` when `r` does not read `x`), so a chain in
       which each binder reads only the one before is evaluated in linear time.
@@ -568,27 +570,31 @@ def _eval_do(e: Bind, env: Dict[str, Outcome], memo: Dict[object, GcmVal]) -> Gc
     A bound that reads no variable at all (`Bind.closed`) has one value
     wherever it is reached, so it is evaluated where first reached, which
     keeps its first error, and kept in `memo` under its node's identity for
-    the whole sequence.  "No earlier binder of this sequence" would not do: a
-    parenthesized `do` in a body shares `memo` and may read an outer binder.
+    the whole evaluation.  "No earlier binder of this sequence" would not do:
+    a `do` in a body, bound or operand shares `memo` and may read an outer
+    binder.  A hand-built node (`live` None) keys on each variable's name too.
     """
     while isinstance(e, Bind):
         if not e.closed:
-            bound = eval_expr(e.bound, env)
+            bound = eval_expr(e.bound, env, memo)
         elif (bound := memo.get(id(e))) is None:
-            bound = memo[id(e)] = eval_expr(e.bound, env)
+            bound = memo[id(e)] = eval_expr(e.bound, env, memo)
         if e.live is None or e.var in e.live:
             gens = bound.generators
             if len(gens) > 1 or len(gens[0].outcomes) > 1:
                 return bind_gcm(bound, partial(_eval_rest, e, env, memo))
             env = {**env, e.var: gens[0].outcomes[0]}
         e = e.body
-    return eval_expr(e, env)
+    return eval_expr(e, env, memo)
 
 
 def _eval_rest(e: Bind, env: Dict[str, Outcome], memo: Dict[object, GcmVal], a: Outcome) -> GcmVal:
     """The body of `e` with its variable bound to `a`, through `memo`."""
     env = {**env, e.var: a}
-    key = (id(e), *[outcome_key(env[v]) for v in (env if e.live is None else e.live)])
+    if e.live is None:
+        key = (id(e), *[(v, outcome_key(b)) for v, b in env.items()])
+    else:
+        key = (id(e), *[outcome_key(env[v]) for v in e.live])
     value = memo.get(key)
     if value is None:
         value = memo[key] = _eval_do(e.body, env, memo)

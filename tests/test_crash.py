@@ -1,18 +1,21 @@
-"""The crash basis of a hull form, and the membership answers it settles with no LP.
+"""The crash basis of a hull form, its integer inverse, and the membership answers it settles with no LP.
 
-`HullForm.crash` picks d generators whose columns span the form, once per
-form, and `_carry` writes a point with positive weight on every outcome in
-those columns.  When every coefficient is >= 0 the point is inside and no
-simplex runs; otherwise the simplex runs as before.  So every answer must
-stay that of the enumeration oracle and of the unchanged simplex, and every
-settled point must carry a certificate: its coefficients, over the crash
-denominator, rebuild it exactly from the basis columns.
+`HullForm.crash` picks d generators whose columns B span the form, once per
+form, and keeps the integer inverse |det B| B^-1 that its integer-preserving
+pivots leave on an identity block.  A point with positive weight on every
+outcome is inside, with no simplex, when each row of the inverse has a
+nonnegative dot product with the point's row; otherwise the simplex runs as
+before.  So every answer must stay that of the enumeration oracle and of the
+unchanged simplex, the inverse must solve B as `Fraction` elimination written
+here does, and every settled point must carry a certificate: its
+coefficients, over |det B|, rebuild it exactly from the basis columns.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
-from convexchoice import convexgeom
+from convexchoice import convexgeom, stats
 from convexchoice.convexgeom import HullForm, in_hull, in_hull_oracle
 from convexchoice.dist import from_pairs, point
 from convexchoice.necset import from_generators, member
@@ -36,21 +39,60 @@ def _simplex_answer(form, x, simplex=convexgeom._simplex_feasible):
     return row is not None and simplex(form.columns, row)
 
 
+def _times_inverse(form, row):
+    """The crash inverse times `row`: |det B| times the coefficients of the basis columns that sum to it."""
+    return [sum(map(mul, inverse_row, row)) for inverse_row in form.crash[1]]
+
+
 def _settled(form, x):
     """Whether `contains` settles x by the crash basis: positive weights, and no negative coefficient."""
     row = convexgeom._int_coords(x, form.index)
     if row is None or not all(row) or form.crash is None:
         return False
-    return min(convexgeom._carry(form.crash, row)) >= 0
+    return min(_times_inverse(form, row)) >= 0
 
 
 def _check_certificate(form, row):
-    """The coefficients `_carry` gives `row`, over |den|, rebuild it from the basis columns."""
+    """The coefficients the inverse gives `row`, over |den|, rebuild it from the basis columns."""
     basis, _, den = form.crash
-    carried = convexgeom._carry(form.crash, row)
-    rebuilt = [sum(c * form.columns[j][i] for c, j in zip(carried, basis)) for i in range(len(row))]
+    coefficients = _times_inverse(form, row)
+    rebuilt = [sum(c * form.columns[j][i] for c, j in zip(coefficients, basis)) for i in range(len(row))]
     assert rebuilt == [abs(den) * v for v in row], (form.generators, row)
-    return carried
+    return coefficients
+
+
+def _fraction_solve(matrix, rhs):
+    """(solutions, det): the solution of matrix lambda = r for each r in `rhs`, and
+    det(matrix), by Gauss-Jordan over `Fraction` with the first nonzero entry as
+    pivot; (None, 0) when the square matrix is singular."""
+    rows = [[*map(Fraction, row), *map(Fraction, r)] for row, r in zip(matrix, zip(*rhs))]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return None, 0
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[c])]
+    return [list(solution) for solution in zip(*(row[len(rows):] for row in rows))], det
+
+
+def _fraction_rank(matrix):
+    """The rank of a matrix, by row reduction over `Fraction`."""
+    rows, rank = [[*map(Fraction, row)] for row in matrix], 0
+    for c in range(len(rows[0])):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is not None:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            for i in range(rank + 1, len(rows)):
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+            rank += 1
+    return rank
 
 
 def test_member_matches_the_oracle_on_small_forms():
@@ -127,8 +169,8 @@ def test_member_matches_the_simplex_on_hull_grid_shapes(monkeypatch):
 
 
 def test_every_carried_row_rebuilds_from_the_basis_columns():
-    # the certificate: over the crash denominator, the carried entries are the
-    # coefficients of the basis columns that sum to the row, for settled
+    # the certificate: over |den|, the entries of the inverse times the row are
+    # the coefficients of the basis columns that sum to the row, for settled
     # points (all >= 0) and for every other row alike
     rng = random.Random(62)
     signs = {"settled": 0, "negative_entry": 0, "negative_den": 0}
@@ -152,14 +194,77 @@ def test_every_carried_row_rebuilds_from_the_basis_columns():
     assert min(signs.values()) > 20, signs
 
 
+def test_inverse_solves_the_basis_as_fraction_elimination_does():
+    # seeded hulls over 1-8 outcomes, weights 0-6, a quarter of them mixtures
+    # of fewer than d base points (rank below d); for each crash basis B, the
+    # inverse times a row must be |det B| times the solution of B lambda = row
+    # that `_fraction_solve` finds, entry by entry, for the basis columns,
+    # random integer rows of either sign, and two query points; every point the
+    # inverse settles is inside by `member`, with no LP, and by the oracle on
+    # the basis generators alone
+    rng = random.Random(33)
+    seen = {"forms": 0, "negative_den": 0, "no_crash": 0, "rows": 0, "settled": 0, "settled_negative_den": 0}
+    sizes = set()  # the sizes d of the crash bases checked
+    for _ in range(500):
+        d = rng.randint(1, 8)
+        n = rng.randint(max(1, d - 1), d + 2)
+        if d > 1 and rng.random() < 0.25:
+            base = [_small_dist(rng, d) for _ in range(rng.randint(1, d - 1))]
+            gens = [_mixture(rng, rng.sample(base, rng.randint(1, len(base)))) for _ in range(n)]
+        else:
+            gens = [_small_dist(rng, d) for _ in range(n)]
+        hull = from_generators(gens)
+        form = hull.hull_form
+        columns, size = form.columns, len(form.index)
+        seen["forms"] += 1
+        if form.crash is None:
+            assert _fraction_rank(columns) < size, gens
+            seen["no_crash"] += 1
+            continue
+        basis, inverse, den = form.crash
+        assert len(basis) == len(set(basis)) == len(inverse) == size
+        matrix = [[columns[j][i] for j in basis] for i in range(size)]
+        sizes.add(size)
+        seen["negative_den"] += den < 0
+        points = [_mixture(rng, rng.sample(hull.generators, rng.randint(1, len(hull.generators)))),
+                  _small_dist(rng, d, low=1)]
+        rows = [columns[j] for j in basis] + [[rng.randint(-9, 9) for _ in range(size)] for _ in range(2)]
+        rows += [r for r in (convexgeom._int_coords(x, form.index) for x in points) if r is not None]
+        solutions, det = _fraction_solve(matrix, rows)
+        assert det == den, gens
+        for row, solution in zip(rows, solutions):
+            assert [sum(map(mul, inverse_row, row)) for inverse_row in inverse] == [
+                abs(den) * v for v in solution
+            ], (gens, row)
+            seen["rows"] += 1
+        for x in points:
+            if _settled(form, x):
+                stats.start()
+                try:
+                    assert member(x, hull), (gens, x)
+                finally:
+                    stats.stop()
+                checks = stats.counts["crash_checks"], stats.counts["crash_settled"], stats.counts["lp_calls"]
+                # a generator is answered before the crash basis is asked
+                assert checks == ((0, 0, 0) if x in hull.generators else (1, 1, 0)), (gens, x)
+                # the certificate's claim: x is in the hull of the basis generators
+                assert in_hull_oracle(x, [hull.generators[j] for j in basis]), (gens, x)
+                seen["settled"] += 1
+                seen["settled_negative_den"] += den < 0
+    assert seen["negative_den"] > 40 and seen["no_crash"] > 100 and seen["rows"] > 2000, seen
+    assert seen["settled"] > 250 and seen["settled_negative_den"] > 25, seen
+    assert sizes == set(range(1, 9)), sizes
+
+
 def test_crash_basis_with_a_negative_last_pivot_settles_with_no_lp(monkeypatch):
     gens = [from_pairs([(0, Fraction(2, 5)), (1, Fraction(3, 10)), (2, Fraction(3, 10))]),
             point(0), from_pairs([(0, Fraction(3, 4)), (1, Fraction(1, 4))])]
     form = HullForm(gens)
-    basis, records, den = form.crash
     # outcome 0 takes point(0), outcome 1 the first generator, and outcome 2
-    # the last, pivoted in at -3
-    assert basis == (1, 0, 2) and [piv for piv, _, _ in records] == [1, 3, -3] and den == -3
+    # the last, pivoted in at -3: B has columns (1, 0, 0), (4, 3, 3) and
+    # (3, 1, 0), det(B) = -3, and the inverse is -den B^-1 = 3 B^-1
+    assert form.columns == ((4, 3, 3), (1, 0, 0), (3, 1, 0))
+    assert form.crash == ((1, 0, 2), [[3, -9, 5], [0, 0, 1], [0, 3, -3]], -3)
     runs = []
     monkeypatch.setattr(convexgeom, "_simplex_feasible", lambda *a: runs.append(a) or True)
     centre = _mixture(random.Random(0), gens)
@@ -184,7 +289,7 @@ def test_a_point_with_a_zero_weight_goes_to_the_simplex(monkeypatch):
     assert "crash" not in form.__dict__
     third = from_pairs([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))])
     assert form.contains(third) and len(runs) == 1
-    assert form.crash == ((0, 1, 2), [(1, 1, [1, 0, 0]), (1, 1, [0, 1, 0]), (1, 1, [0, 0, 1])], 1)
+    assert form.crash == ((0, 1, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
 
 
 def test_a_form_of_rank_below_d_has_no_crash_basis():

@@ -4,7 +4,7 @@ A binder whose bound value is `ret a` binds `a` in place, one whose variable
 the rest does not read (it is not in `Bind.live`) binds nothing, and after any
 other the rest of the sequence is evaluated once per distinct tuple of values
 of the variables it reads.  A bound that reads no variable (`Bind.closed`) is
-evaluated once per sequence.  The reference evaluator below is the plain
+evaluated once per evaluation.  The reference evaluator below is the plain
 definition: nested `bind_gcm` calls whose continuations recurse, so the rest
 of a sequence is evaluated once per entry of every generator.  `eval_expr`
 must give the same value, or raise the same first error, on every program.
@@ -177,9 +177,10 @@ def test_closed_bounds_are_evaluated_once_per_sequence(monkeypatch):
         "do x <- arbitrary 0 [1, 2, 3]; do y <- uniform 0 [x, 4]; "
         "(do z <- arbitrary 0 [5, 6]; ret (y == z))"
     )
-    # an operand of `[~]` is a sequence of its own, evaluated once per x
+    # an operand of `[~]` is a sequence of its own, evaluated once per x, but
+    # it shares the evaluation's memo, so z's set is built once there too
     apart = "do x <- arbitrary 0 [1, 2, 3]; (do z <- arbitrary 0 [5, 6]; ret (x == z)) [~] ret 0"
-    for source, want in [(shared, 1), (apart, 3)]:
+    for source, want in [(shared, 1), (apart, 1)]:
         ast = parse(source)
         calls.clear()
         got = eval_expr(ast)
@@ -206,6 +207,19 @@ def test_hand_built_bind_is_read_by_default():
     assert e.live is None and y.live is None and not e.closed and not y.closed
     assert render(eval_expr(e)) == "{1: 1}\n{2: 1}"
     assert eval_expr(e) == _reference(e, {})
+
+
+def test_hand_built_subtree_in_two_scopes_is_keyed_by_variable_name():
+    # one `do` node under x in the left operand and under y in the right: both
+    # operands share the evaluation's memo, and the values of x and y agree,
+    # so only the names tell the two keys apart; the right one reads an
+    # unbound x and must raise, as the reference does
+    inner = Bind("z", Arbitrary(Lit(0), (Lit(5), Lit(6))), Ret(Var("x")))
+    pick = Arbitrary(Lit(0), (Lit(1), Lit(2)))
+    e = Alt(Bind("x", pick, inner), Bind("y", pick, inner))
+    got = _outcome(lambda e: eval_expr(e, {}), e)
+    assert got == _outcome(lambda e: _reference(e, {}), e)
+    assert got[0] == "error" and got[-1] == "unbound variable 'x'"
 
 
 def test_unread_binder_still_raises_the_errors_of_its_bound():

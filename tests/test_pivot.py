@@ -259,27 +259,19 @@ def test_simplex_feasible_on_full_support_right_hand_sides():
     assert min(seen.values()) > 40, seen
 
 
-def _crash_checks(monkeypatch):
-    """The outcome of each crash-basis check from now on (True when it settles the point), in a list."""
-    carry, settled = convexgeom._carry, []
-
-    def counted(crash, rhs):
-        carried = carry(crash, rhs)
-        settled.append(min(carried) >= 0)
-        return carried
-
-    monkeypatch.setattr(convexgeom, "_carry", counted)
-    return settled
+def _crash_checks():
+    """(checks, settled): the points the crash basis was asked about in the last `_counted` call,
+    and how many of them it settled."""
+    return stats.counts["crash_checks"], stats.counts["crash_settled"]
 
 
-def test_law_suite_lp_counts_are_pinned(monkeypatch):
+def test_law_suite_lp_counts_are_pinned():
     # the crash basis settles all 11 points it is asked about, `member` and
     # `in_hull` queries that took 11 LPs and 38 pivots before it (567, 1941);
     # its own pivots are not simplex pivots and are not counted
-    settled = _crash_checks(monkeypatch)
     _, counts = _counted(check_all, GenConfig(trials=10, seed=42))
     assert counts == (556, 1903)
-    assert (len(settled), sum(settled)) == (11, 11)
+    assert _crash_checks() == (11, 11)
 
 
 def _random_dist(rng, d):
@@ -287,7 +279,7 @@ def _random_dist(rng, d):
     return from_pairs((k, Fraction(x, sum(w))) for k, x in enumerate(w))
 
 
-def test_member_lp_counts_on_a_seeded_hull_are_pinned(monkeypatch):
+def test_member_lp_counts_on_a_seeded_hull_are_pinned():
     rng = random.Random(5)
     hull, counts = _counted(from_generators, [_random_dist(rng, 8) for _ in range(32)])
     assert (len(hull.generators), counts) == (31, (13, 114))
@@ -302,13 +294,12 @@ def test_member_lp_counts_on_a_seeded_hull_are_pinned(monkeypatch):
             queries.append(from_pairs(
                 (k, Fraction(wi, sum(w)) * p) for g, wi in zip(picked, w) for k, p in g.entries
             ))
-    settled = _crash_checks(monkeypatch)
     answers, counts = _counted(lambda: [member(x, hull) for x in queries])
     assert all(answers[::2]) and sum(answers) == 21
     # every query past the LP-free answers has full support, so the crash
     # basis is asked about each of the 32, and settles none
     assert counts == (32, 286)
-    assert (len(settled), sum(settled)) == (32, 0)
+    assert _crash_checks() == (32, 0)
 
 
 def _beyond(rng, gens):
@@ -362,10 +353,9 @@ def test_member_lp_counts_on_a_hull_grid_are_pinned(monkeypatch):
     # with Bland's rule from the first degenerate pivot on, the build took
     # 956 pivots, and its largest LP 28
     assert (build, max(per_lp)) == ([134, 904], 17)
-    settled = _crash_checks(monkeypatch)
     answers, counts = _counted(lambda: [member(x, hull) for x, hull, _ in queries])
     assert answers == [inside for _, _, inside in queries]
     # the crash basis settles 11 of the 33 queries that reached the simplex
     # before it (33, 224), all of them mixtures
     assert counts == (22, 173)
-    assert (len(settled), sum(settled)) == (33, 11)
+    assert _crash_checks() == (33, 11)

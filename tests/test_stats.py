@@ -1,4 +1,4 @@
-"""The opt-in LP, canonicalization and `from_pairs` counters and the `--stats` flag."""
+"""The opt-in LP, canonicalization, `from_pairs` and crash-basis counters and the `--stats` flag."""
 
 import io
 from fractions import Fraction
@@ -19,18 +19,23 @@ def _stats_line(err):
 def test_counters_are_off_by_default_and_count_when_on():
     gens = [point("a"), point("b"), point("c")]
     query = from_pairs([("a", Fraction(1, 2)), ("c", Fraction(1, 2))])
+    centre = from_pairs([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))])
     stats.start()
     stats.stop()
     assert in_hull(query, gens)  # one LP, not counted
+    assert in_hull(centre, gens)  # settled by the crash basis, not counted
     canonicalize(gens + [query])  # one LP, not counted
     from_pairs([("a", Fraction(1))])  # not counted
     assert stats.counts == {
         "lp_calls": 0, "pivots": 0, "canonicalize_calls": 0, "gens_in": 0, "gens_out": 0,
-        "from_pairs_calls": 0,
+        "from_pairs_calls": 0, "crash_checks": 0, "crash_settled": 0,
     }
     stats.start()
     try:
+        # the query has a zero weight, so the simplex answers it; the centre has
+        # none and the crash basis (the three points) settles it with no LP
         assert in_hull(query, gens)
+        assert in_hull(centre, gens)
         # one call: four generators and a duplicate in, the three extreme ones out
         assert canonicalize(gens + [query, point("a")]) == gens
         assert from_pairs([("a", Fraction(1, 2)), ("a", Fraction(1, 2))]) == gens[0]
@@ -40,6 +45,7 @@ def test_counters_are_off_by_default_and_count_when_on():
     assert counts["lp_calls"] == 2 and counts["pivots"] >= 2
     assert (counts["canonicalize_calls"], counts["gens_in"], counts["gens_out"]) == (1, 5, 3)
     assert counts["from_pairs_calls"] == 1
+    assert (counts["crash_checks"], counts["crash_settled"]) == (1, 1)
 
 
 def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
@@ -54,6 +60,7 @@ def test_check_laws_stats_are_deterministic_at_seed_42(capsys):
     counts = dict(part.split("=") for part in lines[0][len("stats: "):].split())
     assert set(counts) == {
         "lp_calls", "pivots", "canonicalize_calls", "gens_in", "gens_out", "from_pairs_calls",
+        "crash_checks", "crash_settled",
     }
     assert int(counts["lp_calls"]) > 0 and int(counts["pivots"]) >= int(counts["lp_calls"])
     assert int(counts["from_pairs_calls"]) > 0  # the oracle `bind_gcm_direct` mixes `Fraction` weights
@@ -85,6 +92,7 @@ def test_eval_stats_line_leaves_stdout_alone(capsys, monkeypatch):
     assert counted.out == plain.out and plain.err == ""
     assert _stats_line(counted.err) == (
         "stats: lp_calls=0 pivots=0 canonicalize_calls=2 gens_in=4 gens_out=4 from_pairs_calls=0"
+        " crash_checks=0 crash_settled=0"
     )
 
 
@@ -103,4 +111,5 @@ def test_eval_stats_of_the_k8_program(capsys, monkeypatch):
     assert cli_main(["eval", "-", "--stats"]) == 0
     assert _stats_line(capsys.readouterr().err) == (
         "stats: lp_calls=0 pivots=0 canonicalize_calls=11 gens_in=96 gens_out=34 from_pairs_calls=0"
+        " crash_checks=0 crash_settled=0"
     )
