@@ -4,23 +4,12 @@ All membership work reads one integer form of a generator list (`HullForm`):
 an index of the supported outcomes and their rows of integer weights over one
 common scale, built in one pass, and lazily the generators' columns, the
 functional ranges and a crash basis.  A membership query maps the point into
-that index and answers with no LP in four cases: False when the point has
-weight on an outcome no generator has, True when its row equals a generator's
-column, False when its value on a coordinate, or on a difference of two
-(`_functionals`), lies outside the range that functional spans over the
-generators (kept once per form, compared as integers), and True when the
-point has positive weight on every outcome and is a nonnegative combination
-of the d columns B of the form's crash basis (`HullForm.crash`, chosen once
-per form with the integer inverse |det B| B^-1, so a point costs d integer dot
-products).  Otherwise it runs a phase-1 simplex over integer rows (see
-`_simplex_feasible`): a zero-row presolve, no artificial columns, the largest
-reduced cost except after as many degenerate pivots in a row as rows, when
-Bland's rule picks until the next nondegenerate one, so it terminates, and an
-early stop once the artificial sum is 0.  Its rows are integer-preserving
-(Edmonds 1967, Bareiss 1968): all of them share one denominator, the last
-pivot, so a pivot updates a row with one exact division and no gcd.  Every
-sign test is exact, so it needs no tolerance.  `in_hull` builds a form for
-one query; a `NECSet` keeps the form of its generators for all of its queries.
+that index, answers with no LP where one of the shortcuts listed in
+`HullForm.contains` applies, and otherwise runs a phase-1 simplex over
+integer rows (see `_simplex_feasible`).  Every pivot, of the simplex and of
+the crash basis, is `_pivot`'s integer-preserving step, so every sign test is
+exact and needs no tolerance.  `in_hull` builds a form for one query; a
+`NECSet` keeps the form of its generators for all of its queries.
 
 `minkowski_vertices` finds the vertices of a Minkowski mixture of two hulls
 from their extreme points: forcing on bitmasks settles most generator pairs,
@@ -38,7 +27,8 @@ the pruning changes no answer, only how many `Fraction` solves run.
 `canonicalize` keeps a list of distinct point masses as it is: they are
 vertices of the simplex, so no hull work is needed to find them extreme.
 Otherwise a point that is one of at most two at the maximum or minimum of one
-of those functionals is extreme with no LP, and each point left gets one LP.
+of the form's `_functionals` is extreme with no LP, and each point left gets
+one LP.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ from operator import mul, sub
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import stats
-from .dist import Dist, Outcome, cached_attr, mix_dists, outcome_key
+from .dist import Dist, cached_attr, mix_dists
 
 C = TypeVar("C")
 # A crash basis: (basis, inverse, den), see `HullForm.crash`.
@@ -100,19 +90,6 @@ def convn(weights: Dist, points: Sequence[C], inst: ConvexInstance) -> C:
 def barycenter(d: Dist, inst: ConvexInstance) -> C:
     """Convex combination of a distribution's own support elements."""
     return convn(Dist(tuple(range(len(d.nums))), d.nums, d.den), d.outcomes, inst)
-
-
-def make_basis(dists: Sequence[Dist]) -> Tuple[Outcome, ...]:
-    seen = {}
-    for d in dists:
-        for k in d.outcomes:
-            seen.setdefault(outcome_key(k), k)
-    return tuple(seen[k] for k in sorted(seen))
-
-
-def vectorize(d: Dist, basis: Sequence[Outcome]) -> Tuple[Fraction, ...]:
-    """The weights of `d` on each outcome of `basis`, in basis order."""
-    return tuple(d.weight(b) for b in basis)
 
 
 def _int_coords(d: Dist, index: Dict[tuple, int]) -> Optional[Tuple[int, ...]]:
@@ -199,11 +176,10 @@ class HullForm:
         For each outcome r in index order, it takes the generator with the
         greatest weight on r (common-scale rows, ties to the lower index)
         among those with a nonzero entry in row r of the columns pivoted so
-        far, and pivots it in at row r with `_pivot_feasible`'s
-        integer-preserving step; either sign may pivot.  Row r's pivoted
-        entries are 0 on the generators already taken, so none is taken
-        twice, and when they are all 0, row r depends on the rows before it:
-        the columns have rank below d, and the form gets None.
+        far, and pivots it in at row r with `_pivot`; either sign may pivot.
+        Row r's pivoted entries are 0 on the generators already taken, so none
+        is taken twice, and when they are all 0, row r depends on the rows
+        before it: the columns have rank below d, and the form gets None.
 
         `basis[r]` is the generator pivoted in at row r, and `den` is the last
         pivot, det(B) for B the basis columns in basis order; it may be
@@ -224,24 +200,23 @@ class HullForm:
             enter = max((j for j in range(n) if pivot_row[j]), key=w.__getitem__, default=None)
             if enter is None:
                 return None
-            piv = pivot_row[enter]
-            for i, row in enumerate(tab):
-                if i != r:
-                    f = row[enter]
-                    tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
             basis.append(enter)
-            den = piv
+            den = _pivot(tab, r, enter, den)
         return tuple(basis), [[a if den > 0 else -a for a in row[n:]] for row in tab], den
 
     def contains(self, x: Dist) -> bool:
         """Exact test for x in the hull, with an LP only when no shortcut answers.
 
-        No LP when x has weight where no generator has, is a generator, or
-        leaves the range of one of `_functionals`, coordinates first.  Nor
-        when x has positive weight on every indexed outcome and each row of
-        the `crash` inverse has a nonnegative dot product with x's row: x is
-        then a nonnegative combination of the basis columns.  With counting
-        on, `stats` counts these crash-basis checks and the points they settle.
+        The membership shortcuts, each with no LP, in the order they are tried:
+        False when x has weight on an outcome no generator has; True when x is
+        a generator; False when x's value on a coordinate, or on a difference
+        of two (`_functionals`), lies outside the range that functional spans
+        over the generators; and True when x has positive weight on every
+        indexed outcome and each row of the `crash` inverse has a nonnegative
+        dot product with x's row, so x is a nonnegative combination of the
+        basis columns (d integer dot products).  Otherwise one simplex runs
+        over the kept columns, which it does not change.  With counting on,
+        `stats` counts the crash-basis checks and the points they settle.
         """
         row = _int_coords(x, self.index)
         if row is None:
@@ -269,6 +244,30 @@ class HullForm:
         # Every point's coordinates sum to 1, so sum_j x_j = 1 follows from the
         # coordinate rows and needs no row of its own.
         return _simplex_feasible(self.columns, row)
+
+
+def _pivot(tab: List[List[int]], r: int, enter: int, den: int) -> int:
+    """Pivot `tab` on row r, column `enter`, in place; return the pivot entry, the new `den`.
+
+    Rows are integer-preserving (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
+    Math. Comp. 22, 1968): every entry is an integer over one common
+    denominator `den`, 1 at first and the pivot entry after each pivot.  Row r
+    stays; every other row, with entry f in column `enter`, becomes
+    (a * piv - f * b) // den, only a rescale when f = 0.  By Sylvester's
+    identity each division is exact: `den` is the determinant of the basis
+    and every entry a minor of the starting tableau with an identity beside
+    it, so entries stay bounded with no gcd per row.
+    """
+    pivot_row = tab[r]
+    piv = pivot_row[enter]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[enter]
+            if f:
+                tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
+            elif piv != den:
+                tab[i] = [a * piv // den for a in row]
+    return piv
 
 
 def _simplex_feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
@@ -313,17 +312,11 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
     them, and a degenerate run that never ended would be all Bland pivots
     from some point on, which cannot cycle.
 
-    Rows are integer-preserving (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
-    Math. Comp. 22, 1968): the tableau and the objective row are integers over
-    one common denominator `den`, 1 at first and the pivot entry after each
-    pivot.  The pivot row stays; every other row, with entry f in the pivot
-    column, becomes (a * piv - f * b) // den, only a rescale when f = 0.  By
-    Sylvester's identity each division is exact: `den` is the determinant of
-    the basis and every entry a minor of [columns | rhs | I], so entries stay
-    bounded with no gcd per row.  Pivot entries are positive, so `den` is, and
-    each sign test, argmax and cross-multiplied ratio test reads as it would
-    over the rationals.  The pivots are counted in a local and reported once
-    per LP to `stats` when counting is on.
+    Each pivot is `_pivot`'s integer-preserving step, and the objective row
+    takes the same update.  Pivot entries are positive, so `den` is, and each
+    sign test, argmax and cross-multiplied ratio test reads as it would over
+    the rationals.  The pivots are counted in a local and reported once per
+    LP to `stats` when counting is on.
     """
     obj = [*map(sum, zip(*tab))] or [0]  # an empty tableau is feasible
     basis = list(range(n, n + len(tab)))  # artificials get indices past the columns
@@ -349,16 +342,9 @@ def _pivot_feasible(tab: List[List[int]], n: int) -> bool:
                     if lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave]):
                         leave = i
         pivot_row = tab[leave]
-        piv = pivot_row[enter]
         stall = 0 if pivot_row[-1] else stall + 1
-        for i, row in enumerate(tab):
-            if i != leave:
-                f = row[enter]
-                if f:
-                    tab[i] = [(a * piv - f * b) // den for a, b in zip(row, pivot_row)]
-                elif piv != den:
-                    tab[i] = [a * piv // den for a in row]
         f = obj[enter]
+        piv = _pivot(tab, leave, enter, den)
         obj = [(a * piv - f * b) // den for a, b in zip(obj, pivot_row)]
         den = piv
         basis[leave] = enter
@@ -444,12 +430,9 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
 def in_hull(x: Dist, generators: Sequence[Dist]) -> bool:
     """Exact test for x in hull(generators), on a form built for this one query.
 
-    The answer comes from `HullForm.contains`, with no LP when x has weight on
-    an outcome no generator has, equals a generator, lies outside a
-    functional's range, or has positive weight everywhere and a nonnegative
-    combination of the crash basis columns (built, with its inverse, for this
-    query too).  A `NECSet` keeps its form instead, so `necset.member` builds
-    the form and its crash basis once per set.
+    The answer comes from `HullForm.contains`, whose shortcuts are listed
+    there.  A `NECSet` keeps its form instead, so `necset.member` builds the
+    form and its crash basis once per set.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -517,10 +500,11 @@ def in_hull_oracle(x: Dist, generators: Sequence[Dist]) -> bool:
     support = frozenset(x.okeys)
     supports = [frozenset(g.okeys) for g in generators]
     inside = [j for j, s in enumerate(supports) if s <= support]
-    basis = make_basis([x])
-    xv = list(vectorize(x, basis)) + [Fraction(1)]
-    vecs = {j: list(vectorize(generators[j], basis)) + [Fraction(1)] for j in inside}
-    for size in range(1, min(len(inside), len(basis)) + 1):
+    # x's weights and each candidate's on x's outcomes, in key order, then a 1
+    # for the sum of the coefficients
+    xv = [w for _, w in x.entries] + [Fraction(1)]
+    vecs = {j: [generators[j].weight(k) for k in x.outcomes] + [Fraction(1)] for j in inside}
+    for size in range(1, min(len(inside), len(support)) + 1):
         for subset in itertools.combinations(inside, size):
             if frozenset().union(*(supports[j] for j in subset)) != support:
                 continue

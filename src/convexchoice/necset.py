@@ -87,15 +87,9 @@ def from_generators(generators: Iterable[Dist]) -> NECSet:
 def member(d: Dist, x: NECSet) -> bool:
     """Exact test for d in x, on the integer form `x` keeps for all its queries.
 
-    The form is built on the first query (see `NECSet.hull_form`).  No LP runs
-    when `d` has weight on an outcome no generator has (False), equals a
-    generator (True), lies outside the range of a coordinate or of a
-    difference of two over the generators (False), or has positive weight on
-    every outcome and is a nonnegative combination of the form's crash basis
-    columns, read off in d dot products with the basis's integer inverse (True;
-    see `HullForm.crash`, built with its inverse on the first query that needs
-    it); otherwise one simplex runs over the kept columns, which it does not
-    change.
+    The form is built on the first query (see `NECSet.hull_form`), its crash
+    basis on the first query that needs it; `HullForm.contains` lists the
+    shortcuts that answer with no LP.
     """
     return x.hull_form.contains(d)
 

@@ -16,6 +16,11 @@ from convexchoice.prob import Prob
 SYMBOLS = ("a", "b", "c", "d")
 
 
+def d_of(*pairs):
+    """The distribution with weight n/m on outcome k, for each `(k, n, m)` of `pairs`."""
+    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
+
+
 def _normalize(pairs):
     total = sum(w for _, w in pairs)
     return from_pairs((k, Fraction(w, total)) for k, w in pairs)

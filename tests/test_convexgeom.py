@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import dist_kleislis, dists, functions, probs
+from conftest import d_of, dist_kleislis, dists, functions, probs
 from convexchoice import convexgeom, stats
 from convexchoice.convexgeom import (
     DIST_INSTANCE,
@@ -17,16 +17,10 @@ from convexchoice.convexgeom import (
     convn,
     in_hull,
     in_hull_oracle,
-    make_basis,
-    vectorize,
 )
-from convexchoice.dist import bind_dist, cached_attr, from_pairs, map_dist, point
+from convexchoice.dist import bind_dist, cached_attr, from_pairs, map_dist, outcome_key, point
 from convexchoice.laws import GenConfig, _gen_hull_instance
 from convexchoice.necset import from_generators, member
-
-
-def d_of(*pairs):
-    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
 
 
 def idx_dist(*pairs):
@@ -103,10 +97,11 @@ def _unpruned_oracle(x, generators):
     """The enumeration with no support pruning: every subset of size <= dim + 1."""
     if any(g == x for g in generators):
         return True
-    basis = make_basis([x, *generators])
+    keyed = {outcome_key(k): k for d in (x, *generators) for k in d.outcomes}
+    basis = [keyed[k] for k in sorted(keyed)]
     dim = len(basis)
-    xv = list(vectorize(x, basis)) + [Fraction(1)]
-    vecs = [list(vectorize(g, basis)) + [Fraction(1)] for g in generators]
+    xv = [x.weight(k) for k in basis] + [Fraction(1)]
+    vecs = [[g.weight(k) for k in basis] + [Fraction(1)] for g in generators]
     for size in range(1, min(len(generators), dim + 1) + 1):
         for subset in itertools.combinations(range(len(generators)), size):
             matrix = [[vecs[j][row] for j in subset] for row in range(dim + 1)]
@@ -740,13 +735,3 @@ def test_affine_image_preserves_hull(d1, d2, d3, table):
     lhs = canonicalize([map_dist(f, g) for g in gens])
     rhs = canonicalize([map_dist(f, g) for g in canonicalize(gens)])
     assert lhs == rhs
-
-
-def test_basis_and_vectorize():
-    d1 = d_of(("b", 1, 2), ("a", 1, 2))
-    d2 = point("c")
-    basis = make_basis([d1, d2])
-    assert basis == ("a", "b", "c")
-    vec = vectorize(d1, basis)
-    assert vec == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    assert sum(vec) == 1

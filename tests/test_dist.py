@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import bool_dists, dist_kleislis, dists, functions, nested_dists, outcomes, probs, validate_dist
+from conftest import bool_dists, d_of, dist_kleislis, dists, functions, nested_dists, outcomes, probs, validate_dist
 from convexchoice.convexgeom import HullForm
 from convexchoice.dist import (
     Dist,
@@ -24,10 +24,6 @@ from convexchoice.dist import (
 )
 from convexchoice.necset import NECSet, from_generators
 from convexchoice.prob import prob_make
-
-
-def d_of(*pairs) -> Dist:
-    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
 
 
 def test_point():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from conftest import functions, kleislis, necsets, probs, small_necsets
+from conftest import d_of, functions, kleislis, necsets, probs, small_necsets
 from convexchoice.dist import from_pairs, map_dist, point
 from convexchoice.gcm import (
     alt_gcm,
@@ -17,10 +17,6 @@ from convexchoice.gcm import (
 from convexchoice.laws import GenConfig, _gen_nested, carrier_of, gen_gcm, gen_kleisli
 from convexchoice.necset import alt_necset, conv_necset, from_generators, singleton_necset
 from convexchoice.prob import prob_make
-
-
-def d_of(*pairs):
-    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
 
 
 MID = from_pairs([(True, Fraction(1, 2)), (False, Fraction(1, 2))])

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings
 
-from conftest import dists, necsets, probs, small_necsets, validate_necset
+from conftest import d_of, dists, necsets, probs, small_necsets, validate_necset
 from convexchoice import necset
 from convexchoice.convexgeom import HullForm, convn
 from convexchoice.dist import conv_dist, from_pairs, point
@@ -22,10 +22,6 @@ from convexchoice.necset import (
     singleton_necset,
 )
 from convexchoice.prob import complement, prob_make
-
-
-def d_of(*pairs):
-    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
 
 
 MID = from_pairs([(True, Fraction(1, 2)), (False, Fraction(1, 2))])

@@ -1,12 +1,11 @@
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import validate_dist
-from convexchoice.dist import from_pairs, mix_dists, point
+from conftest import d_of, validate_dist
+from convexchoice.dist import mix_dists, point
 from convexchoice.gcm import alt_gcm, bind_gcm, choice_gcm, ret_gcm
 from convexchoice.necset import from_generators, singleton_necset
 from convexchoice.prob import prob_make
@@ -38,10 +37,6 @@ from convexchoice.programs import (
 )
 
 CORPUS = Path(__file__).parent / "corpus"
-
-
-def d_of(*pairs):
-    return from_pairs((k, Fraction(n, m)) for k, n, m in pairs)
 
 
 # --- parsing -------------------------------------------------------------
