@@ -82,19 +82,13 @@ class Keyed:
 
     A subclass passes its `tag` and defines `==`, `<` and `__hash__` on its
     own integer form, so keys of nested values compare through those
-    methods.  `<=` and `>=` follow here from `<`, which is a total order;
-    Python answers `a > b` with the reflected `b < a`.
+    methods.  `<` is a total order, and Python answers `a > b` with the
+    reflected `b < a`; nothing compares outcomes by `<=` or `>=`.
     """
 
     def __init_subclass__(cls, tag: int, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         _KEY_OF_TYPE[cls] = lambda x: (tag, x)
-
-    def __le__(self, other: "Keyed") -> bool:
-        return not other < self
-
-    def __ge__(self, other: "Keyed") -> bool:
-        return not self < other
 
 
 class Dist(Keyed, tag=3):

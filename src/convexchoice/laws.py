@@ -1,13 +1,14 @@
 """Law registry and randomized checking harness.
 
-`REGISTRY` is the one table of laws, in the order they are checked.  An
-equation is written as data by `_equation`: a draw `(rng, cfg) -> {name:
-input}` and its sides `(**inputs) -> (lhs, rhs)`; its counterexample shows
-the inputs in draw order, then `lhs` and `rhs`.  A law whose counterexample
-shows anything else is a predicate `(rng, cfg) -> Optional[str]`.  To add a
-law, add its entry to the table: a draw lists its inputs in the order they
-read the RNG, and sides that use a value twice bind it once, in a named
-function.
+`REGISTRY` is the one table of laws, in the order they are checked.  Every
+law is an equation, written as data by `_equation`: a draw `(rng, cfg) ->
+{name: input}` and its sides `(**inputs) -> (lhs, rhs)`; its counterexample
+shows the inputs in draw order, then `lhs` and `rhs`.  A law that is not an
+identity of two values, such as a total order or the agreement of two
+deciders, states its sides as the facts that must match: the compared
+results, or a verdict and the verdict it must equal.  To add a law, add its
+entry to the table: a draw lists its inputs in the order they read the RNG,
+and sides that use a value twice bind it once, in a named function.
 
 A check runs a configured number of independent trials; each trial derives
 its own RNG purely from (seed, law name, trial index), so reports are
@@ -32,7 +33,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .convexgeom import (
@@ -106,7 +107,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class LawCase:
-    """A registered law; `checker` runs one trial and returns its rendered counterexample or None."""
+    """A registered law, built by `_equation`.
+
+    `checker` runs one trial and returns its rendered counterexample or None;
+    it is a field, so that a harness can wrap it.
+    """
 
     name: str
     expected: str  # "pass" | "fail" (negative control)
@@ -283,14 +288,11 @@ def _fmt(value) -> str:
     return render_outcome(value)
 
 
-def _ce(**parts) -> str:
-    return "; ".join(f"{k}={_fmt(v)}" for k, v in parts.items())
-
-
 def _eq_or_ce(lhs, rhs, **inputs) -> Optional[str]:
+    """None when `lhs == rhs`; else the counterexample: the inputs in draw order, then both sides."""
     if lhs == rhs:
         return None
-    return _ce(**inputs, lhs=lhs, rhs=rhs)
+    return "; ".join(f"{k}={_fmt(v)}" for k, v in {**inputs, "lhs": lhs, "rhs": rhs}.items())
 
 
 # --- laws -----------------------------------------------------------------
@@ -303,7 +305,7 @@ def _equation(
     draw: Callable[[Rng, GenConfig], Dict[str, object]],
     sides: Callable[..., Tuple[object, object]],
 ) -> LawCase:
-    """The law `lhs == rhs` for `lhs, rhs = sides(**draw(rng, cfg))`, shown with the inputs when false."""
+    """Every law: `lhs == rhs` for `lhs, rhs = sides(**draw(rng, cfg))`, shown with the inputs when false."""
 
     def check(rng: Rng, cfg: GenConfig) -> Optional[str]:
         inputs = draw(rng, cfg)
@@ -354,29 +356,23 @@ def _gen_weights(rng: Rng, cfg: GenConfig, n: int) -> Dist:
     return gen_dist(rng, cfg, keys=range(n), max_support=n)
 
 
-def _law_prob_rs(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p, q = gen_prob(rng, cfg), gen_prob(rng, cfg)
-    s, r = s_of(p, q), r_of(p, q)
-    ok = complement(s).value == complement(p).value * complement(q).value
-    if s.value != 0:
-        ok = ok and r.value * s.value == p.value
-    return None if ok else _ce(p=p, q=q, r=r, s=s)
+def _prob_rs_sides(p: Prob, q: Prob) -> tuple:
+    """1 - s and r * s for s, r of (p, q), which must be (1 - p)(1 - q) and p (at s = 0, p = 0 = r * s)."""
+    s = s_of(p, q).value
+    return (1 - s, r_of(p, q).value * s), (complement(p).value * complement(q).value, p.value)
 
 
-def _law_dist_order_total(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    ds = [gen_dist(rng, cfg) for _ in range(3)]
-    for a in ds:
-        for b in ds:
-            cab, cba = compare_dist(a, b), compare_dist(b, a)
-            if cab != -cba or (cab == 0) != (a == b):
-                return _ce(d1=a, d2=b)
-    for a in ds:
-        for b in ds:
-            for c in ds:
-                if compare_dist(a, b) <= 0 and compare_dist(b, c) <= 0:
-                    if compare_dist(a, c) > 0:
-                        return _ce(d1=a, d2=b, d3=c)
-    return None
+def _order_sides(d1: Dist, d2: Dist, d3: Dist) -> tuple:
+    """`compare_dist` of each pair, and the sign of the pair's places among the three sorted by it.
+
+    The place of a distribution is that of the first one equal to it, so the
+    two agree exactly when `compare_dist` is a total order that is 0 on
+    equal distributions alone.
+    """
+    ds = [d1, d2, d3]
+    place = sorted(ds, key=cmp_to_key(compare_dist)).index
+    return ([[compare_dist(a, b) for b in ds] for a in ds],
+            [[(place(a) > place(b)) - (place(a) < place(b)) for b in ds] for a in ds])
 
 
 def _convn_perm_draw(gen_points: Callable[[Rng, GenConfig], list]):
@@ -405,21 +401,14 @@ def _convn_perm_sides(inst):
     return sides
 
 
-def _gen_hull_instance(rng: Rng, cfg: GenConfig, max_gens: int):
-    gens = [gen_dist(rng, cfg) for _ in range(rng.randint(1, max_gens))]
+def _gen_hull_instance(rng: Rng, cfg: GenConfig, max_gens: Optional[int] = None) -> Dict[str, object]:
+    """Up to `max_gens` generators (`max_generators + 2` by default) and x, half the time their mixture."""
+    gens = [gen_dist(rng, cfg) for _ in range(rng.randint(1, max_gens or cfg.max_generators + 2))]
     if rng.random() < 0.5:
         x = gen_dist(rng, cfg)
     else:
         x = mix_dists(list(zip(_gen_widths(rng, cfg, len(gens)), gens)))
-    return x, gens
-
-
-def _law_hull_oracle_agree(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, gens = _gen_hull_instance(rng, cfg, max_gens=6)
-    lp, oracle = in_hull(x, gens), in_hull_oracle(x, gens)
-    if lp == oracle:
-        return None
-    return _ce(x=x, generators=gens, simplex=lp, oracle=oracle)
+    return {"generators": gens, "x": x}
 
 
 def _canonicalize_twice(generators: List[Dist]) -> tuple:
@@ -427,20 +416,11 @@ def _canonicalize_twice(generators: List[Dist]) -> tuple:
     return canonicalize(once), once
 
 
-def _law_canonicalize_hull_preserved(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x, gens = _gen_hull_instance(rng, cfg, max_gens=cfg.max_generators + 2)
-    lhs = in_hull(x, gens)
-    rhs = in_hull(x, canonicalize(gens))
-    if lhs == rhs:
-        return None
-    return _ce(x=x, generators=gens, full=lhs, canonical=rhs)
-
-
-def _law_canonicalize_order_independent(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    gens = _gen_generators(rng, cfg)
-    shuffled = gens[:]
+def _draw_shuffled(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
+    generators = _gen_generators(rng, cfg)
+    shuffled = generators[:]
     rng.shuffle(shuffled)
-    return _eq_or_ce(canonicalize(shuffled), canonicalize(gens), generators=gens)
+    return {"generators": generators, "shuffled": shuffled}
 
 
 def _draw_lub_op_hull(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
@@ -449,28 +429,10 @@ def _draw_lub_op_hull(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
     return {"family": family, "weights": weights, "mixture": convn(weights, family, NECSET_INSTANCE)}
 
 
-def _law_necset_eq_extensional(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    x = gen_gcm(rng, cfg, max_generators=3)
-    y = gen_gcm(rng, cfg, max_generators=3)
-    mutual = all(member(g, y) for g in x.generators) and all(
-        member(h, x) for h in y.generators
-    )
-    if (x == y) == mutual:
-        return None
-    return _ce(x=x, y=y, structural=(x == y), extensional=mutual)
-
-
-def _law_member_convex(rng: Rng, cfg: GenConfig) -> Optional[str]:
+def _draw_mixture_members(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
     x = gen_gcm(rng, cfg, max_generators=3)
     p = gen_prob(rng, cfg)
-    u = _mixture_member(rng, cfg, x)
-    v = _mixture_member(rng, cfg, x)
-    if not member(u, x) or not member(v, x):
-        return _ce(x=x, u=u, v=v, note="constructed member rejected")
-    mix = conv_dist(p, u, v)
-    if member(mix, x):
-        return None
-    return _ce(x=x, p=p, u=u, v=v, mixture=mix)
+    return {"x": x, "p": p, "u": _mixture_member(rng, cfg, x), "v": _mixture_member(rng, cfg, x)}
 
 
 def _draw_choiceA(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
@@ -479,27 +441,23 @@ def _draw_choiceA(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
     return {"p": p, "q": q, "r": r_of(p, q), "s": s_of(p, q), "x": x, "y": y, "z": z}
 
 
-def _law_choice_nontrivial(rng: Rng, cfg: GenConfig) -> Optional[str]:
-    p = gen_prob(rng, cfg)
-    q = gen_prob(rng, cfg)
+def _draw_distinct_probs(rng: Rng, cfg: GenConfig) -> Dict[str, object]:
+    """Two probabilities; q is drawn again, up to 64 times, while it equals p."""
+    p, q = gen_prob(rng, cfg), gen_prob(rng, cfg)
     for _ in range(64):
         if q != p:
             break
         q = gen_prob(rng, cfg)
-    if q == p:
-        return None  # degenerate bound; cannot sample distinct probabilities
-    lhs = choice_gcm(p, ret_gcm(True), ret_gcm(False))
-    rhs = choice_gcm(q, ret_gcm(True), ret_gcm(False))
-    if lhs != rhs:
-        return None
-    return _ce(p=p, q=q, value=lhs)
+    return {"p": p, "q": q}
 
 
 # --- registry -------------------------------------------------------------
 
 REGISTRY: Dict[str, LawCase] = _registry(
     # prob / dist level
-    LawCase("prob_rs", "pass", _law_prob_rs, "mixing-weight side conditions"),
+    _equation("prob_rs", "pass", "mixing-weight side conditions",
+              lambda rng, cfg: dict(p=gen_prob(rng, cfg), q=gen_prob(rng, cfg)),
+              _prob_rs_sides),
     _equation("dist_map_affine", "pass", "pushforward is affine",
               lambda rng, cfg: dict(p=gen_prob(rng, cfg), d1=gen_dist(rng, cfg), d2=gen_dist(rng, cfg),
                                     f=gen_function(rng, cfg)),
@@ -525,7 +483,9 @@ REGISTRY: Dict[str, LawCase] = _registry(
     _equation("dist_flatten", "pass", "barycenter of point masses",
               lambda rng, cfg: dict(d=gen_dist(rng, cfg)),
               lambda d: (barycenter(map_dist(point, d), DIST_INSTANCE), d)),
-    LawCase("dist_order_total", "pass", _law_dist_order_total, "distribution order is total"),
+    _equation("dist_order_total", "pass", "distribution order is total",
+              lambda rng, cfg: dict(d1=gen_dist(rng, cfg), d2=gen_dist(rng, cfg), d3=gen_dist(rng, cfg)),
+              _order_sides),
     _equation("barycenter_bind", "pass", "barycenter of pushforward is bind",
               lambda rng, cfg: dict(d=gen_dist(rng, cfg), k=_gen_dist_table(rng, cfg)),
               lambda d, k: (barycenter(map_dist(k.__getitem__, d), DIST_INSTANCE),
@@ -540,12 +500,18 @@ REGISTRY: Dict[str, LawCase] = _registry(
                                                  for _ in range(rng.randint(1, 3))]),
               _convn_perm_sides(NECSET_INSTANCE)),
     # convex geometry level
-    LawCase("hull_oracle_agree", "pass", _law_hull_oracle_agree, "simplex matches enumeration oracle"),
+    _equation("hull_oracle_agree", "pass", "simplex matches enumeration oracle",
+              _gen_hull_instance,
+              lambda generators, x: (in_hull(x, generators), in_hull_oracle(x, generators))),
     _equation("canonicalize_idempotent", "pass", "",
               lambda rng, cfg: dict(generators=_gen_generators(rng, cfg)),
               _canonicalize_twice),
-    LawCase("canonicalize_hull_preserved", "pass", _law_canonicalize_hull_preserved, ""),
-    LawCase("canonicalize_order_independent", "pass", _law_canonicalize_order_independent, ""),
+    _equation("canonicalize_hull_preserved", "pass", "",
+              _gen_hull_instance,
+              lambda generators, x: (in_hull(x, generators), in_hull(x, canonicalize(generators)))),
+    _equation("canonicalize_order_independent", "pass", "",
+              _draw_shuffled,
+              lambda generators, shuffled: (canonicalize(shuffled), canonicalize(generators))),
     _equation("affine_image_hull", "pass", "affine images preserve hulls",
               lambda rng, cfg: dict(generators=_gen_generators(rng, cfg), f=gen_function(rng, cfg)),
               lambda generators, f: (
@@ -567,11 +533,17 @@ REGISTRY: Dict[str, LawCase] = _registry(
     _equation("lub_op_hull", "pass", "mixtures are absorbed by collapse",
               _draw_lub_op_hull,
               lambda family, weights, mixture: (lub_necset(family + [mixture]), lub_necset(family))),
-    LawCase("necset_eq_extensional", "pass", _law_necset_eq_extensional, "structural = extensional equality"),
+    _equation("necset_eq_extensional", "pass", "structural = extensional equality",
+              lambda rng, cfg: dict(x=gen_gcm(rng, cfg, max_generators=3),
+                                    y=gen_gcm(rng, cfg, max_generators=3)),
+              lambda x, y: (x == y, all(member(g, y) for g in x.generators)
+                            and all(member(h, x) for h in y.generators))),
     _equation("lub_fold", "pass", "family collapse = fold of binary choice",
               lambda rng, cfg: dict(family=_gen_family(rng, cfg, 4)),
               lambda family: (lub_necset(family), reduce(alt_necset, family))),
-    LawCase("member_convex", "pass", _law_member_convex, "members are closed under mixing"),
+    _equation("member_convex", "pass", "members are closed under mixing",
+              _draw_mixture_members,
+              lambda x, p, u, v: ([member(d, x) for d in (u, v, conv_dist(p, u, v))], [True] * 3)),
     # gcm level
     _equation("bindretf", "pass", "monad left unit",
               lambda rng, cfg: dict(a=rng.choice(carrier_of(cfg)), k=gen_kleisli(rng, cfg)),
@@ -638,7 +610,10 @@ REGISTRY: Dict[str, LawCase] = _registry(
     _equation("join_join", "pass", "join associativity",
               lambda rng, cfg: dict(mmm=_gen_nested2(rng, cfg)),
               lambda mmm: (join_gcm(map_gcm(join_gcm, mmm)), join_gcm(join_gcm(mmm)))),
-    LawCase("choice_nontrivial", "pass", _law_choice_nontrivial, "distinct weights are distinguished"),
+    _equation("choice_nontrivial", "pass", "distinct weights are distinguished",
+              _draw_distinct_probs,
+              lambda p, q: (choice_gcm(p, ret_gcm(True), ret_gcm(False))
+                            == choice_gcm(q, ret_gcm(True), ret_gcm(False)), p == q)),
     _equation("bind_two_path", "pass", "join-after-map = product formula",
               lambda rng, cfg: dict(m=_gen_small(rng, cfg), k=_gen_small_kleisli(rng, cfg, 3)),
               lambda m, k: (bind_gcm(m, k.__getitem__), bind_gcm_direct(m, k.__getitem__))),
@@ -664,27 +639,25 @@ def law_names() -> List[str]:
     return list(REGISTRY)
 
 
+def _case(name: str) -> LawCase:
+    if name not in REGISTRY:
+        raise ValueError(f"unknown law name {name!r}")
+    return REGISTRY[name]
+
+
 def run_trial(name: str, config: GenConfig, trial: int) -> Optional[str]:
     """Re-run one trial standalone; reproduces any reported counterexample."""
-    case = REGISTRY[name]
-    return case.checker(trial_rng(config.seed, name, trial), config)
+    return _case(name).checker(trial_rng(config.seed, name, trial), config)
 
 
 def check_law(name: str, config: GenConfig) -> LawReport:
-    if name not in REGISTRY:
-        raise ValueError(f"unknown law name {name!r}")
-    case = REGISTRY[name]
+    case = _case(name)
     failures = []
     for trial in range(config.trials):
         rendered = case.checker(trial_rng(config.seed, name, trial), config)
         if rendered is not None:
             failures.append(Counterexample(trial, rendered))
-    return LawReport(
-        name=name,
-        expected=case.expected,
-        trials=config.trials,
-        failures=failures,
-    )
+    return LawReport(name, case.expected, config.trials, failures)
 
 
 def check_all(config: GenConfig) -> List[LawReport]:

@@ -101,7 +101,7 @@ def validate_dist(d):
     """
     entries = d.entries
     keys = [outcome_key(k) for k, _ in entries]
-    if not entries or any(w <= 0 for _, w in entries) or any(a >= b for a, b in zip(keys, keys[1:])):
+    if not entries or any(w <= 0 for _, w in entries) or any(not a < b for a, b in zip(keys, keys[1:])):
         raise ValueError(f"not positive weights on strictly increasing keys: {entries}")
     if sum(w for _, w in entries) != 1:
         raise ValueError(f"weights do not sum to 1: {entries}")

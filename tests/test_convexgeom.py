@@ -149,7 +149,9 @@ def test_pruned_oracle_matches_the_unpruned_enumeration():
     ]
     for seed in range(8):
         rng = random.Random(seed)
-        cases += [_gen_hull_instance(rng, cfg, max_gens=3 + seed % 4) for _ in range(250)]
+        for _ in range(250):
+            instance = _gen_hull_instance(rng, cfg, max_gens=3 + seed % 4)
+            cases.append((instance["x"], instance["generators"]))
     rng = random.Random(2024)
     for _ in range(1000):
         x, gens = _sparse_hull_instance(rng)
@@ -175,7 +177,7 @@ def test_oracle_runs_no_code_of_the_simplex_path(monkeypatch):
         monkeypatch.setattr(convexgeom, name, refuse)
     rng = random.Random(77)
     for _ in range(200):
-        in_hull_oracle(*_gen_hull_instance(rng, GenConfig(), max_gens=6))
+        in_hull_oracle(**_gen_hull_instance(rng, GenConfig()))
 
 
 def test_empty_generators_rejected():

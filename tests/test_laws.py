@@ -55,8 +55,15 @@ def test_expected_negative_controls():
 
 
 def test_unknown_law_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown law name 'no_such_law'"):
         check_law("no_such_law", FAST)
+    with pytest.raises(ValueError, match="unknown law name 'no_such_law'"):
+        run_trial("no_such_law", FAST, 0)
+
+
+def test_every_law_is_an_equation():
+    assert {case.checker.__qualname__ for case in REGISTRY.values()} == {"_equation.<locals>.check"}
+    assert not [name for name in vars(laws) if name.startswith("_law_")]
 
 
 def test_config_validation():
@@ -214,9 +221,12 @@ def test_trial_instances_depend_on_seed_law_and_trial_alone():
 
 
 def test_every_law_instance_is_pinned(monkeypatch):
-    # every equation renders its inputs and both sides, equal or not, so the
-    # digest pins the drawn instances and the two sides of every law
-    monkeypatch.setattr(laws, "_eq_or_ce", lambda lhs, rhs, **inputs: laws._ce(**inputs, lhs=lhs, rhs=rhs))
+    # every law renders its inputs and both sides, equal or not, so the digest
+    # pins the drawn instances and the two sides of every law
+    def render(lhs, rhs, **inputs):
+        return "; ".join(f"{k}={laws._fmt(v)}" for k, v in {**inputs, "lhs": lhs, "rhs": rhs}.items())
+
+    monkeypatch.setattr(laws, "_eq_or_ce", render)
     config = GenConfig(trials=10, seed=42)
     digest, rendered = hashlib.sha256(), 0
     for name in law_names():
@@ -224,8 +234,39 @@ def test_every_law_instance_is_pinned(monkeypatch):
             found = run_trial(name, config, trial)
             rendered += found is not None
             digest.update(f"{name}|{trial}|{found}\n".encode())
-    assert rendered == 400
-    assert digest.hexdigest() == "e9959ea1d0ba788e50802b7927d571e233da5522cf6dba2472fc23e602070cc2"
+    assert rendered == 470
+    assert digest.hexdigest() == "c5d44e2689f0fec18682915599ce19134602900e5233ab83425ee98d5663257d"
+
+
+_CANONICALIZE = laws.canonicalize
+
+
+def _canonicalize_in_input_order(generators):
+    kept = _CANONICALIZE(generators)
+    return [g for g in generators if g in kept]
+
+
+# by law: a fault planted in a function it checks, and its counterexamples in
+# 30 trials at seed 42 with the fault in place
+_PLANTED_FAULTS = {
+    "prob_rs": ("r_of", lambda p, q: p, 17),
+    "dist_order_total": ("compare_dist", lambda d1, d2: -1, 30),
+    "hull_oracle_agree": ("in_hull", lambda x, generators: True, 18),
+    "canonicalize_hull_preserved": ("canonicalize", lambda generators: sorted(generators)[:1], 15),
+    "canonicalize_order_independent": ("canonicalize", _canonicalize_in_input_order, 20),
+    "necset_eq_extensional": ("member", lambda d, x: True, 30),
+    "member_convex": ("member", lambda d, x: d in x.generators, 21),
+    "choice_nontrivial": ("choice_gcm", lambda p, x, y: alt_gcm(x, y), 30),
+}
+
+
+@pytest.mark.parametrize("law", _PLANTED_FAULTS)
+def test_a_planted_fault_is_refuted(monkeypatch, law):
+    name, fault, found = _PLANTED_FAULTS[law]
+    config = GenConfig(trials=30, seed=42)
+    assert check_law(law, config).failures == []
+    monkeypatch.setattr(laws, name, fault)
+    assert len(check_law(law, config).failures) == found
 
 
 def test_reports_deterministic():
