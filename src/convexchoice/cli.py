@@ -1,14 +1,14 @@
 """Command-line interface: eval, check-laws, monty, version.
 
-A line that starts with a command is parsed by that command's own parser alone, built once from
-`_COMMANDS`; any other line (`-h`, a usage error) by the whole parser from `build_parser()`."""
+A well-formed line is read straight from the command table, `_COMMANDS`; any other line (`-h`, a
+usage error) goes to the whole argparse parser that `build_parser()` builds from the same table,
+so argparse is imported only to print help or a usage error."""
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, NoReturn, Optional
 
 from . import __version__, stats
@@ -29,7 +29,7 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     try:
         text = _read_source(args.file)
     except OSError as exc:
@@ -54,7 +54,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_laws(args: argparse.Namespace) -> int:
+def _cmd_check_laws(args: SimpleNamespace) -> int:
     # imported here, so that the other commands never load the law suite
     from .laws import REGISTRY, GenConfig, check_all, check_law, render_report, run_trial
 
@@ -86,82 +86,120 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_monty(args: argparse.Namespace) -> int:
+def _cmd_monty(args: SimpleNamespace) -> int:
     strategies = ["stick", "switch"] if args.strategy == "both" else [args.strategy]
     for strategy in strategies:
         print(f"{strategy}: {render(monty(strategy))}")
     return 0
 
 
-def _cmd_version(_args: argparse.Namespace) -> int:
+def _cmd_version(_args: SimpleNamespace) -> int:
     print(__version__)
     return 0
 
 
 STATS_HELP = "print LP calls, simplex pivots and canonicalization counts on one line to stderr"
 
-
-class _Parser(argparse.ArgumentParser):
-    """Ends a usage error in one `error:` line and exit 1; exit 2 stays for a failed law verdict."""
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(1, "error: " + message.replace("\n", " ") + "\n")
-
-    def print_help(self, file=None) -> None:
-        # argparse's own swallows OSError, so help into a closed pipe would exit 0 when unbuffered
-        (file or sys.stdout).write(self.format_help())
-
-
-def _eval_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="program file, or '-' for stdin")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.add_argument("--stats", action="store_true", help=STATS_HELP)
-    p.set_defaults(func=_cmd_eval)
-
-
-def _check_laws_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--law", default=None, help="check a single law by name")
-    p.add_argument("--trial", type=int, default=None, help="with --law, run only trial N and print it")
-    p.add_argument("--stats", action="store_true", help=STATS_HELP)
-    p.set_defaults(func=_cmd_check_laws)
-
-
-def _monty_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=["stick", "switch", "both"], default="both")
-    p.set_defaults(func=_cmd_monty)
-
-
+# Per command: its function, its help line, and its arguments as (name, kind,
+# default, help). A kind is `bool` for a flag, `int` or `str` for an option's
+# value, a tuple for a choice among words; a name with no leading `--` is the
+# one positional.
 _COMMANDS = {
-    "eval": ("parse, evaluate, and render a program", _eval_args),
-    "check-laws": ("run the randomized law suite", _check_laws_args),
-    "monty": ("play the three-door game", _monty_args),
-    "version": ("print the package version", lambda p: p.set_defaults(func=_cmd_version)),
+    "eval": (_cmd_eval, "parse, evaluate, and render a program", (
+        ("file", str, None, "program file, or '-' for stdin"),
+        ("--format", ("text", "structured"), "text", None),
+        ("--stats", bool, False, STATS_HELP),
+    )),
+    "check-laws": (_cmd_check_laws, "run the randomized law suite", (
+        ("--trials", int, 200, None),
+        ("--seed", int, 42, None),
+        ("--law", str, None, "check a single law by name"),
+        ("--trial", int, None, "with --law, run only trial N and print it"),
+        ("--stats", bool, False, STATS_HELP),
+    )),
+    "monty": (_cmd_monty, "play the three-door game", (
+        ("--strategy", ("stick", "switch", "both"), "both", None),
+    )),
+    "version": (_cmd_version, "print the package version", ()),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The whole `argparse` parser, built from `_COMMANDS`: it writes every help screen and usage error."""
+    import argparse  # here, so that a well-formed line loads neither argparse nor gettext
+
+    class _Parser(argparse.ArgumentParser):
+        """Ends a usage error in one `error:` line and exit 1; exit 2 stays for a failed law verdict."""
+
+        def error(self, message: str) -> NoReturn:
+            self.exit(1, "error: " + message.replace("\n", " ") + "\n")
+
+        def print_help(self, file=None) -> None:
+            # argparse's own swallows OSError, so help into a closed pipe would exit 0 when unbuffered
+            (file or sys.stdout).write(self.format_help())
+
     description = "Exact model of combined probabilistic and nondeterministic choice."
     parser = _Parser(prog="convexchoice", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line))
+    for name, (func, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option, kind, default, help_text in arguments:
+            if kind is bool:
+                p.add_argument(option, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(option, choices=kind, default=default, help=help_text)
+            else:
+                p.add_argument(option, type=kind, default=default, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """`name`'s parser alone, built once as `add_parser` builds its subparser."""
-    parser = _Parser(prog=f"convexchoice {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+def _parse_table(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace of a well-formed line, read from `_COMMANDS`; None for any other line.
+
+    Well-formed: a command, then exact option names, each with a valid value,
+    and the command's one positional if it has one. Every other token that
+    starts with `-` but is not `-` itself (`-h`, `--`, `--opt=value`, an
+    abbreviation, a negative number) is left to argparse, as are bad values.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    args, options, positional = SimpleNamespace(func=func), {}, None
+    for name, kind, default, _ in arguments:
+        if name.startswith("--"):
+            options[name] = kind
+            setattr(args, name[2:], default)
+        else:
+            positional = name
+    tokens = iter(argv[1:])
+    for token in tokens:
+        kind = options.get(token)
+        if kind is bool:
+            setattr(args, token[2:], True)
+            continue
+        value = token if kind is None else next(tokens, "--")  # a missing value is left to argparse
+        if value.startswith("-") and value != "-":
+            return None
+        if kind is None:  # the positional, at most once
+            if positional is None:
+                return None
+            setattr(args, positional, value)
+            positional = None
+        elif kind is int:
+            try:
+                setattr(args, token[2:], int(value))
+            except ValueError:
+                return None
+        elif kind is str or value in kind:
+            setattr(args, token[2:], value)
+        else:
+            return None
+    return None if positional else args
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
-    if argv and argv[0] in _COMMANDS:
-        return _command_parser(argv[0]).parse_args(argv[1:])
-    return build_parser().parse_args(argv)
+def _parse_args(argv: List[str]) -> SimpleNamespace:
+    return _parse_table(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
 def cli_main(argv: Optional[List[str]] = None) -> int:

@@ -416,9 +416,9 @@ def minkowski_vertices(xs: Sequence[Dist], ys: Sequence[Dist]) -> List[Tuple[int
                     if (not up) != (not down):
                         live &= ~(up | down)
             if live:
-                xi, yj = xc[i], yc[j]
-                columns = [[u - v for u, v in zip(x, xi)] for a, x in enumerate(xc) if live >> a & 1]
-                columns += [[u - v for u, v in zip(y, yj)] for b, y in enumerate(yc) if live >> (nx + b) & 1]
+                xi, yj, bits = xc[i], yc[j], bin(live)[:1:-1]  # bits[a] is bit a of live
+                columns = [[u - v for u, v in zip(x, xi)] for bit, x in zip(bits, xc) if bit == "1"]
+                columns += [[u - v for u, v in zip(y, yj)] for bit, y in zip(bits[nx:], yc) if bit == "1"]
                 tab = [[*row, 0] for row in zip(*columns) if any(row)]
                 tab.append([1] * (len(columns) + 1))  # sum lambda + sum mu = 1
                 if _pivot_feasible(tab, len(columns)):

@@ -79,7 +79,7 @@ def test_eval_weight_past_digit_limit(capsys, monkeypatch):
     assert out.out == f"{{1: 1/{big}, 2: {nines}/{big}, 3: {nines}/1{'0' * 4000}}}\n"
 
 
-def test_each_command_builds_its_own_parser_once(capsys, monkeypatch):
+def test_only_help_and_usage_errors_build_the_argparse_parser(capsys, monkeypatch):
     corpus = str(CORPUS / "coinarb.choice")
     text = "{true: 1}\n{false: 1}\n"
     wholes = []
@@ -90,7 +90,6 @@ def test_each_command_builds_its_own_parser_once(capsys, monkeypatch):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    cli._command_parser.cache_clear()
     # no option of one call carries over to the next
     assert cli_main(["eval", "--stats", corpus]) == 0
     assert capsys.readouterr().err.startswith("stats: ")
@@ -100,25 +99,22 @@ def test_each_command_builds_its_own_parser_once(capsys, monkeypatch):
     assert capsys.readouterr().out == '[[[true,"1"]],[[false,"1"]]]\n'
     assert cli_main(["eval", corpus]) == 0
     assert capsys.readouterr() == (text, "")
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["eval"])
-    assert exc.value.code == 1
-    capsys.readouterr()
-    assert cli_main(["eval", corpus]) == 0
-    assert capsys.readouterr() == (text, "")
     assert cli_main(["monty", "--strategy", "stick"]) == 0
     assert cli_main(["monty"]) == 0
     assert cli_main(["version"]) == 0
     capsys.readouterr()
-    # one parser per command used, and a line that starts with a command builds no whole parser
-    assert (cli._command_parser.cache_info().misses, wholes) == (3, [])
-    # a help or usage-error line that starts with no command builds the whole parser, each time
-    for argv, code in (([], 1), (["-h"], 0), (["bogus"], 1)):
+    # a well-formed line builds no argparse parser
+    assert wholes == []
+    # each help or usage-error line builds the whole parser, each time
+    for argv, code in (([], 1), (["-h"], 0), (["bogus"], 1), (["eval"], 1), (["eval", "-h"], 0),
+                       (["monty", "--st", "x"], 1)):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == code
     assert capsys.readouterr().out.startswith("usage: convexchoice ")
-    assert (cli._command_parser.cache_info().misses, len(wholes)) == (3, 3)
+    assert len(wholes) == 6
+    assert cli_main(["eval", corpus]) == 0
+    assert capsys.readouterr() == (text, "") and len(wholes) == 6
     assert build() is not build()
 
 
@@ -127,6 +123,7 @@ def test_each_command_builds_its_own_parser_once(capsys, monkeypatch):
 _PARSE_WORDS = (
     "-", "prog.choice", "--st", "--tri", "--form=structured", "--stats=1", "--", "-h",
     "--seed -1", "-x", "--format xml", "--strategy=sides", "--trials abc", "--trial=1",
+    "--law -", "--law", "--stats --stats", "--format structured --format text", "- -", "--seed " + "1" * 4301,
 )
 
 
@@ -154,6 +151,29 @@ def test_command_parser_agrees_with_the_whole_parser():
             kinds.add(got[0] == "exit" and got[1])
     # parsed lines, help screens and usage errors all occur
     assert kinds == {False, 0, 1}
+
+
+def _readme_lines():
+    """The argument lists of the README's `$ ... convexchoice ...` examples."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return [line.split("convexchoice ", 1)[1].split() for line in readme.splitlines()
+            if line.startswith("$ ") and "convexchoice " in line]
+
+
+def test_the_command_table_answers_every_well_formed_line():
+    # the README's usage lines with every option given, its examples, and the lines the benchmark runs
+    lines = [
+        "eval --format structured --stats -", "eval --format text prog.choice",
+        "check-laws --trials 2 --seed 7 --law choicemm --trial 1 --stats", "check-laws",
+        "monty --strategy stick", "monty --strategy switch", "monty --strategy both", "version",
+        "eval -", f"eval {CORPUS / 'coinarb.choice'}",
+    ]
+    argvs = [line.split() for line in lines] + _readme_lines()
+    assert len(argvs) == 15
+    whole = cli.build_parser()
+    for argv in argvs:
+        assert cli._parse_table(argv) is not None, argv
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(whole.parse_args, argv), argv
 
 
 def test_check_laws_single(capsys):
@@ -541,11 +561,21 @@ sys.stdin = io.StringIO("do x <- arbitrary 0 [1, 2]; ret x <|1/2|> ret 3")
 assert cli_main(["eval", "-"]) == 0
 assert cli_main(["monty"]) == 0
 assert cli_main(["version"]) == 0
-unwanted = ("json", "dataclasses", "inspect")
+unwanted = ("json", "dataclasses", "inspect", "argparse", "gettext")
 loaded = sorted(m for m in sys.modules if m in unwanted or m.startswith("convexchoice.laws"))
 assert loaded == [], loaded
 assert cli_main(["check-laws", "--law", "choicemm", "--trials", "2"]) == 0
 assert "convexchoice.laws" in sys.modules
+# well-formed lines load no argparse, and help does
+assert "argparse" not in sys.modules and "gettext" not in sys.modules
+out, sys.stdout = sys.stdout, io.StringIO()
+try:
+    cli_main(["eval", "-h"])
+except SystemExit as exc:
+    code = exc.code
+help_text, sys.stdout = sys.stdout.getvalue(), out
+assert "argparse" in sys.modules
+assert code == 0 and help_text.startswith("usage: convexchoice eval "), (code, help_text)
 """
 
 
